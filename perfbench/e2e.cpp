@@ -26,16 +26,15 @@
 // checked (the invariants of check_invariants) and digested: the report
 // bytes without provenance for scenario runs, the TrafficResult fields and
 // outcomes for traffic runs.
+#include <malloc.h>
 #include <sys/resource.h>
 #include <time.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <map>
@@ -81,14 +80,12 @@ double cpu_now_s() {
   return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
 }
 
-/// Current resident set size in MiB, from /proc/self/statm.
-double rss_now_mb() {
-  std::ifstream statm("/proc/self/statm");
-  std::uint64_t size = 0;
-  std::uint64_t resident = 0;
-  statm >> size >> resident;
-  return static_cast<double>(resident) * static_cast<double>(sysconf(_SC_PAGESIZE)) /
-         (1024.0 * 1024.0);
+/// Bytes the allocator has handed out and not taken back, in MiB: heap
+/// chunks in use plus mmap-ed chunks. Unlike the process's RSS this does not
+/// read 0 when a build reuses pages an earlier, freed build left resident.
+double heap_in_use_mb() {
+  const struct mallinfo2 info = mallinfo2();
+  return static_cast<double>(info.uordblks + info.hblkhd) / (1024.0 * 1024.0);
 }
 
 // ------------------------------------------------------------------ output
@@ -541,19 +538,30 @@ std::string traced_call_json(const Workload& w, CheckLog& log) {
   return out + "}}";
 }
 
-/// trace: traced and untraced calls alternated until `seconds` have passed.
+/// trace: pairs of one traced and one untraced call until `seconds` have
+/// passed.
 std::string run_trace(const Workload& w, const Options& opt) {
   CheckLog traced_log;
   CheckLog untraced_log;
   untraced_log.add(call_entry(w, nullptr, nullptr));  // warm-up
   std::vector<std::string> traced;
   std::vector<double> untraced_wall;
-  const double start = wall_now_s();
-  while (static_cast<int>(traced.size()) < opt.min_reps || wall_now_s() - start < opt.seconds) {
-    traced.push_back(traced_call_json(w, traced_log));
+  const auto untraced_call = [&] {
     const double t0 = wall_now_s();
     untraced_log.add(call_entry(w, nullptr, nullptr));
     untraced_wall.push_back(wall_now_s() - t0);
+  };
+  const double start = wall_now_s();
+  while (static_cast<int>(traced.size()) < opt.min_reps || wall_now_s() - start < opt.seconds) {
+    // Pair i is traced[i] with untraced_wall[i]; which of the two runs first
+    // alternates, so the pair's wall ratio does not measure call order.
+    if (traced.size() % 2 == 0) {
+      traced.push_back(traced_call_json(w, traced_log));
+      untraced_call();
+    } else {
+      untraced_call();
+      traced.push_back(traced_call_json(w, traced_log));
+    }
   }
   std::string out = "{\"untraced_wall_s\":" + num_list(untraced_wall) + ",\"untraced\":{" +
                     untraced_log.json() + "},\"traced_check\":{" + traced_log.json() +
@@ -607,11 +615,12 @@ std::string run_layers(const Workload& w, const Options& opt) {
       const double build_t0 = wall_now_s();
       const auto g = fr::sim::make_topology(topo);
       topology_build[rep] += (wall_now_s() - build_t0) * 1e3;
-      const double rss0 = rss_now_mb();
+      const double heap0 = heap_in_use_mb();
       const double t0 = wall_now_s();
       (void)g->channel_index();
       channel_index[rep] += (wall_now_s() - t0) * 1e3;
-      channel_index_rss[rep] += rss_now_mb() - rss0;
+      // The index writes every byte it allocates, so all of it is resident.
+      channel_index_rss[rep] += heap_in_use_mb() - heap0;
     }
     add(flat_adjacency,
         time_fresh(topo, reps, [](const fr::Topology& g) { (void)g.channel_index(); },

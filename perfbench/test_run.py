@@ -47,17 +47,26 @@ class QuickRunTest(unittest.TestCase):
 
     def test_per_layer_metrics_and_rollup(self):
         names = [m["name"] for m in CONTRACT["per_layer"]]
-        for workload, only_here in (("router-mix", True), ("hypercube-sparse", False)):
+        # Layers that run on some workloads only, and where they run.
+        only_on = {
+            "graph.oracle_prewarm_ms": {"router-mix"},
+            "scenario.cell_ms_max": {"gnp-probe", "router-mix"},
+            "traffic.frontier_batched_share": {"gnp-probe", "router-mix"},
+        }
+        for workload in (w["name"] for w in CONTRACT["workloads"]):
             with self.subTest(workload=workload):
                 proc = bench("--quick", "--workload", workload, "--seed", "11", "--trace", "1")
                 self.assertEqual(proc.returncode, 0, proc.stderr)
                 line = result_line(proc)
                 self.assertTrue(line["correct"])
                 self.assertEqual(list(line["metrics"]), names)
+                # A listed metric that reads 0 can never move by a share.
+                for name, metric in line["metrics"].items():
+                    self.assertGreater(metric["value"], 0, name)
                 record = json.loads((run.BUILD_DIR / "results" /
                                      f"{workload}-seed11-trace1-quick.json").read_text())
-                self.assertEqual("graph.oracle_prewarm_ms" in record["metrics"], only_here)
-                self.assertEqual("scenario.cell_ms_max" in record["metrics"], only_here)
+                for name, where in only_on.items():
+                    self.assertEqual(name in record["metrics"], workload in where, name)
                 self.assertIn("obs.unattributed_ms", record["metrics"])
                 self.assertEqual(record["provenance"]["build_type"], "Release")
 
