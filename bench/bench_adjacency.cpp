@@ -8,9 +8,7 @@
 //  * traffic: the repository's six curated scenario sweeps (scenarios/*.scn)
 //    — the exact cell grid and seeding the scenario runner executes — with
 //    the routing phase timed through TrafficConfig::timings, once per
-//    backend. This is the same protocol as bench_routing, with the probe
-//    -state backend held fixed (dense) and only the adjacency backend
-//    flipped.
+//    backend, with only the adjacency backend flipped.
 //  * percolation: a giant-component sweep (ClusterDecomposition over every
 //    edge) and a chemical-distance sweep (BFS per random pair), the
 //    analyses rewritten over CSR rows with epoch-stamped visited arrays.
@@ -25,8 +23,7 @@
 // --json emits one machine-readable object (schema
 // faultroute.bench.adjacency.v1, validated in CI by
 // scripts/check_bench_schema.py); the committed full-run perf record lives
-// in BENCH_adjacency.json at the repo root, next to BENCH_traffic.json and
-// BENCH_routing.json.
+// in BENCH_adjacency.json at the repo root.
 
 #include <algorithm>
 #include <chrono>
@@ -153,8 +150,8 @@ bool results_identical(const TrafficResult& a, const TrafficResult& b) {
 BenchResult run_traffic_bench(const std::string& stem, const BenchOptions& options) {
   scenario::ScenarioSpec spec =
       scenario::load_scenario_file(options.scenarios_dir + "/" + stem + ".scn");
-  // Clamp to bench scale exactly as bench_routing does: --quick is CI-smoke
-  // size, the full run keeps message volume but trims trials.
+  // Clamp to bench scale: --quick is CI-smoke size, the full run keeps
+  // message volume but trims trials.
   if (options.quick) {
     spec.messages = std::min<std::uint64_t>(spec.messages, 64);
     spec.trials = std::min<std::uint64_t>(spec.trials, 1);

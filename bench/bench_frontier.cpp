@@ -7,10 +7,10 @@
 // (scenarios/*.scn) — the exact cell grid and seeding the scenario runner
 // executes — with the routing phase timed through TrafficConfig::timings,
 // once per frontier mode. The adjacency backend is held fixed at flat (the
-// only path the batch executor engages on) and the probe-state backend at
-// its default, so the measured delta is the frontier scheduling alone:
-// 64-message bitset BFS blocks for flood/bidirectional routers, memoised
-// oracle columns for the metric-guided routers.
+// only path the batch executor engages on), so the measured delta is the
+// frontier scheduling alone: 64-message bitset BFS blocks for
+// flood/bidirectional routers, memoised oracle columns for the
+// metric-guided routers.
 //
 // Per-scenario times are summed over cells, best of --reps repetitions;
 // outcomes of the two modes are cross-checked on every cell and the process

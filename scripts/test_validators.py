@@ -39,37 +39,6 @@ def run_script(script, *argv):
         capture_output=True, text=True, check=False)
 
 
-def valid_delivery_report():
-    return {
-        "schema": "faultroute.bench.delivery.v1",
-        "schema_version": 1,
-        "quick": True,
-        "seed": 2024,
-        "benchmarks": [{
-            "name": "hypercube_uniform",
-            "topology": "hypercube:10",
-            "workload": "random-pairs",
-            "p": 0.55,
-            "messages": 4096,
-            "capacity": 1,
-            "routed": 4000,
-            "delivered": 3990,
-            "makespan": 181,
-            "sim_steps": 181,
-            "transmissions": 30000,
-            "channels": 10240,
-            "routing_ms": 12.5,
-            "event_ms": 3.25,
-            "reference_ms": 40.0,
-            "event_delivery_ms": 3.25,
-            "reference_delivery_ms": 40.0,
-            "speedup": 12.3,
-            "end_to_end_speedup": 3.4,
-            "identical": True,
-        }],
-    }
-
-
 def valid_frontier_report():
     return {
         "schema": "faultroute.bench.frontier.v1",
@@ -198,9 +167,6 @@ class ValidatorCase(unittest.TestCase):
 class BenchSchemaValidator(ValidatorCase):
     SCRIPT = "check_bench_schema.py"
 
-    def test_accepts_valid_delivery_report(self):
-        self.assert_accepts(self.SCRIPT, self.write_json("d.json", valid_delivery_report()))
-
     def test_accepts_valid_frontier_report(self):
         self.assert_accepts(self.SCRIPT, self.write_json("f.json", valid_frontier_report()))
 
@@ -229,14 +195,15 @@ class BenchSchemaValidator(ValidatorCase):
                             "negative time")
 
     def test_rejects_missing_field(self):
-        report = valid_delivery_report()
-        del report["benchmarks"][0]["makespan"]
-        self.assert_rejects(self.SCRIPT, self.write_json("d.json", report), "makespan")
+        report = valid_frontier_report()
+        del report["benchmarks"][0]["permsg_routing_ms"]
+        self.assert_rejects(self.SCRIPT, self.write_json("f.json", report),
+                            "permsg_routing_ms")
 
-    def test_rejects_engine_disagreement(self):
-        report = valid_delivery_report()
+    def test_rejects_frontier_disagreement(self):
+        report = valid_frontier_report()
         report["benchmarks"][0]["identical"] = False
-        self.assert_rejects(self.SCRIPT, self.write_json("d.json", report), "identical")
+        self.assert_rejects(self.SCRIPT, self.write_json("f.json", report), "identical")
 
     def test_rejects_delivered_exceeding_routed(self):
         report = valid_frontier_report()

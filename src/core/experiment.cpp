@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "core/parallel.hpp"
 #include "core/path.hpp"
@@ -68,11 +69,25 @@ TrialOutcome run_single_trial(const Topology& graph, double p, Router& router,
   return outcome;
 }
 
+/// Both endpoints must be vertices of `graph`: an out-of-range id would index
+/// past every per-vertex table the trial touches.
+void require_endpoints(const Topology& graph, VertexId u, VertexId v) {
+  for (const VertexId endpoint : {u, v}) {
+    if (endpoint >= graph.num_vertices()) {
+      // analyze:allow-throw-safety(argument validation precedes the trial loops)
+      throw std::invalid_argument("run_routing_trials: endpoint " + std::to_string(endpoint) +
+                                  " out of range for " + graph.name() + " (" +
+                                  std::to_string(graph.num_vertices()) + " vertices)");
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<TrialOutcome> run_routing_trials(const Topology& graph, double p,
                                              Router& router, VertexId u, VertexId v,
                                              const ExperimentConfig& config) {
+  require_endpoints(graph, u, v);
   std::vector<TrialOutcome> outcomes;
   outcomes.reserve(static_cast<std::size_t>(config.trials));
   for (int trial = 0; trial < config.trials; ++trial) {
@@ -86,6 +101,7 @@ std::vector<TrialOutcome> run_routing_trials_parallel(const Topology& graph, dou
                                                       VertexId u, VertexId v,
                                                       const ExperimentConfig& config,
                                                       unsigned threads) {
+  require_endpoints(graph, u, v);
   std::vector<TrialOutcome> outcomes(static_cast<std::size_t>(std::max(0, config.trials)));
   parallel_index_loop(outcomes.size(), threads, [&] {
     const std::shared_ptr<Router> router = make_router();

@@ -60,6 +60,7 @@ struct ExperimentSummary {
 /// v on `graph` percolated at probability p. Each trial resamples the
 /// environment until {u ~ v} holds (ground-truth BFS, never the router).
 /// Censored trials (budget exhausted) still appear in the outcome list.
+/// Throws std::invalid_argument if u or v is not a vertex of `graph`.
 [[nodiscard]] std::vector<TrialOutcome> run_routing_trials(const Topology& graph, double p,
                                                            Router& router, VertexId u,
                                                            VertexId v,
@@ -82,7 +83,7 @@ using RouterFactory = std::function<std::unique_ptr<Router>()>;
 /// Multi-threaded variant of run_routing_trials: trials are deterministic
 /// per (base_seed, trial index), so the outcome vector is identical to the
 /// sequential run regardless of thread count. `threads` = 0 picks
-/// hardware_concurrency.
+/// hardware_concurrency. Same endpoint check as run_routing_trials.
 [[nodiscard]] std::vector<TrialOutcome> run_routing_trials_parallel(
     const Topology& graph, double p, const RouterFactory& make_router, VertexId u,
     VertexId v, const ExperimentConfig& config, unsigned threads = 0);

@@ -107,7 +107,7 @@ class ProbeContext {
   /// snapshot of `graph` (graph/flat_adjacency.hpp); when given, probes
   /// resolve neighbor / edge key / edge id with array loads instead of
   /// virtual dispatch — a pure representation change, observable-identical
-  /// to the implicit path, composing with either probe-state backend. Must
+  /// to the implicit path, composing with either memo backend. Must
   /// be a snapshot of `graph` and outlive the context. `oracle`: optional
   /// cached fault-free DistanceOracle for `graph` (graph/distance_oracle
   /// .hpp); metric routers fetch per-target distance columns through

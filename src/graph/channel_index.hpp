@@ -63,7 +63,7 @@ class ChannelIndex {
   /// Dense id of the *undirected edge* a channel belongs to, contiguous in
   /// [0, num_edge_ids()): both directions of an edge share one id, distinct
   /// edges (including parallel edges) get distinct ids. This is the index
-  /// the dense probe-state engine keys its per-edge arrays by — edge_key()
+  /// ProbeArena and SharedProbeCache key their per-edge arrays by — edge_key()
   /// values are canonical but sparse, edge ids are canonical *and* dense.
   ///
   /// Ids are assigned in order of first appearance by ascending channel id,

@@ -89,7 +89,7 @@ class FlatAdjacency {
     return keys_[offsets_[v] + static_cast<std::uint64_t>(i)];
   }
   /// Dense undirected-edge id of slot i of v, == ChannelIndex::edge_id_of of
-  /// the matching channel (the index the dense probe-state arrays use).
+  /// the matching channel (the index ProbeArena and SharedProbeCache use).
   [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
     return edge_ids_[offsets_[v] + static_cast<std::uint64_t>(i)];
   }
@@ -143,9 +143,9 @@ class FlatAdjacency {
   mutable std::unique_ptr<DistanceOracle> oracle_;
 };
 
-/// Which adjacency backend a hot path resolves queries through. A pure A/B
-/// switch in the mould of TrafficConfig::dense_probe_state / --engine:
-/// every observable result is bit-identical across modes.
+/// Which adjacency backend a hot path resolves queries through. A memory
+/// trade-off, not a result switch: every observable result is bit-identical
+/// across modes.
 enum class AdjacencyMode {
   kFlat,      ///< always materialize (cached) — the fast path
   kImplicit,  ///< always the virtual Topology interface — huge graphs

@@ -22,8 +22,6 @@ inline constexpr const char* kMetrics = "faultroute.metrics.v1";
 inline constexpr int kMetricsVersion = 1;
 
 /// Bench A/B records (committed as BENCH_*.json at the repo root).
-inline constexpr const char* kBenchDelivery = "faultroute.bench.delivery.v1";
-inline constexpr const char* kBenchRouting = "faultroute.bench.routing.v1";
 inline constexpr const char* kBenchAdjacency = "faultroute.bench.adjacency.v1";
 inline constexpr const char* kBenchFrontier = "faultroute.bench.frontier.v1";
 inline constexpr const char* kBenchSnapshot = "faultroute.bench.snapshot.v1";

@@ -73,7 +73,7 @@ class ExplicitEdgeSampler final : public EdgeSampler {
   }
 
   /// Sizes a dense per-edge-id answer memo over `graph`'s ChannelIndex
-  /// edge-id space, so is_open_indexed (which the dense probe-state backend
+  /// edge-id space, so is_open_indexed (which arena-backed ProbeContexts
   /// and the flat analyses call with ids in hand) resolves repeat queries
   /// with one array load instead of hashing the key. Purely an accelerator:
   /// answers are identical with or without it, ids outside the indexed

@@ -1,5 +1,6 @@
 #include "sim/registry.hpp"
 
+#include <cmath>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -188,8 +189,9 @@ WorkloadConfig make_workload(const std::string& spec) {
     expect_arity(parts, 2, 2, spec);
     config.kind = WorkloadKind::kPoisson;
     config.arrival_rate = parse_double(parts[1], spec);
-    if (!(config.arrival_rate > 0.0)) {
-      throw std::invalid_argument("poisson rate must be > 0 in spec '" + spec + "'");
+    if (!(std::isfinite(config.arrival_rate) && config.arrival_rate > 0.0)) {
+      throw std::invalid_argument("poisson rate must be finite and > 0 in spec '" + spec +
+                                  "'");
     }
     return config;
   }

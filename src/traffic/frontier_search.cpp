@@ -76,7 +76,6 @@ struct BlockMemo {
 struct BatchProbe {
   const FlatAdjacency* flat;
   const EdgeSampler* env;
-  bool dense_probe_state;  // selects the sampler entry point, as probe_with does
   std::optional<std::uint64_t> budget;
   BlockMemo* memo;
   std::uint64_t bit;  // this message's bit in the block words
@@ -95,9 +94,7 @@ struct BatchProbe {
       // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the block executor)
       throw ProbeBudgetExceeded("probe budget exhausted");
     }
-    const bool is_open = dense_probe_state
-                             ? env->is_open_indexed(e, flat->edge_key(v, i))
-                             : env->is_open(flat->edge_key(v, i));
+    const bool is_open = env->is_open_indexed(e, flat->edge_key(v, i));
     if (live) {
       memo->probed[e] |= bit;
     } else {
@@ -227,9 +224,8 @@ void route_frontier_batched(const Topology& graph, const EdgeSampler& env,
       counters != nullptr ? counters->id("traffic.routing.probe_calls") : 0;
   const obs::CounterRegistry::CounterId expansions =
       counters != nullptr ? counters->id("traffic.routing.bfs_expansions") : 0;
-  // Batch-only bookkeeping, in the mould of the reference engine's
-  // channels == 0: these two exist only in batch mode and are therefore
-  // outside the cross-mode identity contract.
+  // Batch-only bookkeeping: these two exist only in batch mode and are
+  // therefore outside the cross-mode identity contract.
   const obs::CounterRegistry::CounterId batched =
       counters != nullptr ? counters->id("traffic.routing.frontier.batched_messages") : 0;
   const obs::CounterRegistry::CounterId blocks =
@@ -269,11 +265,7 @@ void route_frontier_batched(const Topology& graph, const EdgeSampler& env,
           paths[i] = Path{msg.source};
           continue;
         }
-        BatchProbe probe{&flat,
-                         &env,
-                         config.dense_probe_state,
-                         config.probe_budget,
-                         &scratch->memo,
+        BatchProbe probe{&flat, &env, config.probe_budget, &scratch->memo,
                          1ull << (i - begin)};
         std::optional<Path> path;
         try {

@@ -19,9 +19,8 @@ namespace {
 /// Routing proper: every message independently through the (cached)
 /// environment. Messages are independent, so a work-stealing index loop with
 /// a fresh-per-thread router reproduces the sequential outcome exactly.
-/// With config.dense_probe_state each worker owns one ProbeArena, created
-/// here in make_body and re-epoched per message, so steady-state routing
-/// allocates nothing.
+/// Each worker owns one ProbeArena, created here in make_body and re-epoched
+/// per message, so steady-state routing allocates nothing.
 // analyze:hot-root(routing worker body: per-message inner loop of every sweep)
 void route_all(const Topology& graph, const EdgeSampler& env,
                const RouterFactory& make_router, const std::shared_ptr<Router>& prototype,
@@ -52,8 +51,7 @@ void route_all(const Topology& graph, const EdgeSampler& env,
         unclaimed.exchange(nullptr, std::memory_order_acq_rel) != nullptr
             ? prototype
             : make_router();
-    const std::shared_ptr<ProbeArena> arena =
-        config.dense_probe_state ? std::make_shared<ProbeArena>() : nullptr;
+    const std::shared_ptr<ProbeArena> arena = std::make_shared<ProbeArena>();
     // The worker's whole routing stint is one span on its own track; the
     // body closure (and with it the scope) is destroyed on the worker
     // thread when the worker drains, closing the span there.
@@ -117,20 +115,9 @@ std::vector<RoutedJourney> route_and_validate(
                  : resolve_adjacency(graph, config.adjacency, config.flat_budget_vertices));
   const AdjacencyView adj(graph, flat);
 
-  // Each probe-state backend pairs with its matching cache generation so
-  // the dense_probe_state A/B switch compares whole engines, dense against
-  // the sharded-map implementation it replaced. unique_edges() is the same
-  // deterministic set size either way.
-  std::optional<SharedProbeCache> dense_cache;
-  std::optional<ShardedProbeCache> sharded_cache;
+  std::optional<SharedProbeCache> cache;
   const EdgeSampler* env = &sampler;
-  if (config.use_shared_cache) {
-    if (config.dense_probe_state) {
-      env = &dense_cache.emplace(sampler, graph);
-    } else {
-      env = &sharded_cache.emplace(sampler);  // analyze:allow-hot-alloc(per-batch cache construction)
-    }
-  }
+  if (config.use_shared_cache) env = &cache.emplace(sampler, graph);
   // FrontierMode::kBatch (flat path only): classify the batch's router via
   // one prototype — factories hand out identically-behaving routers, that is
   // what makes thread-parallel routing legal in the first place. Flood and
@@ -174,15 +161,10 @@ std::vector<RoutedJourney> route_and_validate(
   // per-message memo means each cache ever sees one lookup per (message,
   // edge), so hits + misses == total_distinct_probes and misses ==
   // unique_edges_probed, deterministically (see TrafficResult::cache_hits).
-  if (dense_cache) {
-    result.unique_edges_probed = dense_cache->unique_edges();
-    result.cache_hits = dense_cache->approx_hits();
-    result.cache_misses = dense_cache->approx_misses();
-  }
-  if (sharded_cache) {
-    result.unique_edges_probed = sharded_cache->unique_edges();
-    result.cache_hits = sharded_cache->approx_hits();
-    result.cache_misses = sharded_cache->approx_misses();
+  if (cache) {
+    result.unique_edges_probed = cache->unique_edges();
+    result.cache_hits = cache->approx_hits();
+    result.cache_misses = cache->approx_misses();
   }
 
   // Validate paths and resolve every hop's incident slot.
@@ -231,32 +213,6 @@ std::vector<RoutedJourney> route_and_validate(
     ++result.routed;
   }
   return journeys;
-}
-
-void record_traffic_counters(obs::RunMetrics& metrics, const TrafficResult& result) {
-  obs::CounterRegistry& counters = metrics.counters();
-  const auto sum = [&](std::string_view name, std::uint64_t value) {
-    counters.add(counters.id(name), value);
-  };
-  sum("traffic.routing.messages", result.messages);
-  sum("traffic.routing.routed", result.routed);
-  sum("traffic.routing.failed_routing", result.failed_routing);
-  sum("traffic.routing.censored", result.censored);
-  sum("traffic.routing.invalid_paths", result.invalid_paths);
-  sum("traffic.routing.distinct_probes", result.total_distinct_probes);
-  sum("traffic.cache.hits", result.cache_hits);
-  sum("traffic.cache.misses", result.cache_misses);
-  sum("traffic.cache.unique_edges", result.unique_edges_probed);
-  sum("traffic.delivery.delivered", result.delivered);
-  sum("traffic.delivery.stranded", result.stranded);
-  sum("traffic.delivery.sim_steps", result.sim_steps);
-  sum("traffic.delivery.admission_events", result.admission_events);
-  sum("traffic.delivery.transmissions", result.transmissions);
-  counters.record_max(
-      counters.id("traffic.delivery.peak_active_channels", obs::MergeKind::kMax),
-      result.peak_active_channels);
-  counters.record_max(counters.id("traffic.delivery.makespan", obs::MergeKind::kMax),
-                      result.makespan);
 }
 
 }  // namespace faultroute::detail

@@ -16,9 +16,7 @@ struct RoutedJourney {
   std::vector<int> slots;  // slots[k]: incident slot of path[k] -> path[k+1]
 };
 
-/// Phase 1 of run_traffic, shared verbatim by the event-driven engine and
-/// the legacy reference engine so their delivery phases start from an
-/// identical routed batch.
+/// Phase 1 of run_traffic.
 ///
 /// Routes every message (thread-parallel, deterministic), verifies paths when
 /// config.verify_paths is on, resolves every hop's incident slot, and fills
@@ -30,11 +28,5 @@ struct RoutedJourney {
     const Topology& graph, const EdgeSampler& sampler, const RouterFactory& make_router,
     const std::vector<TrafficMessage>& messages, const TrafficConfig& config,
     TrafficResult& result);
-
-/// Harvests a finished run's aggregate fields into `metrics`'s counter
-/// registry under the traffic.* namespace (routing partition, probe/cache
-/// economics, delivery event counts and gauges). Shared by both engines so
-/// --metrics reports the same counters regardless of --engine.
-void record_traffic_counters(obs::RunMetrics& metrics, const TrafficResult& result);
 
 }  // namespace faultroute::detail

@@ -5,6 +5,7 @@
 #include <limits>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "core/edge_load.hpp"
@@ -23,6 +24,35 @@ constexpr std::uint32_t kNoMessage = std::numeric_limits<std::uint32_t>::max();
 double ms_since(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - since)
       .count();
+}
+
+/// Harvests a finished run's aggregate fields into `metrics`'s counter
+/// registry under the traffic.* namespace (routing partition, probe/cache
+/// economics, delivery event counts and gauges).
+void record_traffic_counters(obs::RunMetrics& metrics, const TrafficResult& result) {
+  obs::CounterRegistry& counters = metrics.counters();
+  const auto sum = [&](std::string_view name, std::uint64_t value) {
+    counters.add(counters.id(name), value);
+  };
+  sum("traffic.routing.messages", result.messages);
+  sum("traffic.routing.routed", result.routed);
+  sum("traffic.routing.failed_routing", result.failed_routing);
+  sum("traffic.routing.censored", result.censored);
+  sum("traffic.routing.invalid_paths", result.invalid_paths);
+  sum("traffic.routing.distinct_probes", result.total_distinct_probes);
+  sum("traffic.cache.hits", result.cache_hits);
+  sum("traffic.cache.misses", result.cache_misses);
+  sum("traffic.cache.unique_edges", result.unique_edges_probed);
+  sum("traffic.delivery.delivered", result.delivered);
+  sum("traffic.delivery.stranded", result.stranded);
+  sum("traffic.delivery.sim_steps", result.sim_steps);
+  sum("traffic.delivery.admission_events", result.admission_events);
+  sum("traffic.delivery.transmissions", result.transmissions);
+  counters.record_max(
+      counters.id("traffic.delivery.peak_active_channels", obs::MergeKind::kMax),
+      result.peak_active_channels);
+  counters.record_max(counters.id("traffic.delivery.makespan", obs::MergeKind::kMax),
+                      result.makespan);
 }
 
 }  // namespace
@@ -55,9 +85,9 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
       detail::route_and_validate(graph, sampler, make_router, messages, config, result);
 
   // -------------------------------------------------------- phase 2: deliver
-  // Event-driven store-and-forward over dense directed-channel ids. Semantics
-  // are identical to the reference engine (see run_traffic_reference): at
-  // each timestep, messages due now are admitted to their next channel queue
+  // Event-driven store-and-forward over dense directed-channel ids (results
+  // pinned by tests/golden/): at each timestep, messages due now are
+  // admitted to their next channel queue
   // in ascending-id order, then every non-empty channel transmits up to
   // `edge_capacity` messages, which arrive at the far endpoint next step.
   const ChannelIndex& index = graph.channel_index();
@@ -237,7 +267,7 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
     result.mean_path_edges = hops_sum / static_cast<double>(result.delivered);
   }
   if (config.timings) config.timings->delivery_ms = ms_since(delivery_start);
-  if (config.metrics != nullptr) detail::record_traffic_counters(*config.metrics, result);
+  if (config.metrics != nullptr) record_traffic_counters(*config.metrics, result);
   return result;
 }
 

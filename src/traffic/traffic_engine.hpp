@@ -22,7 +22,7 @@ class RunMetrics;
 }
 
 /// How the routing phase schedules per-message searches. A pure A/B switch
-/// in the mould of dense_probe_state / AdjacencyMode: every outcome,
+/// in the mould of AdjacencyMode: every outcome,
 /// aggregate, and counter is bit-identical across modes (held by
 /// tests/test_frontier_search.cpp and the bench_frontier cross-check).
 enum class FrontierMode {
@@ -67,21 +67,14 @@ struct TrafficConfig {
   /// environment discovery. Turning it off only disables the optimisation;
   /// results are unchanged (the cache is semantically transparent).
   bool use_shared_cache = true;
-  /// Back per-message probe state (memo + reached set) with epoch-stamped
-  /// dense arrays pooled in per-thread ProbeArenas instead of per-message
-  /// hash containers. Pure A/B switch for benchmarking and differential
-  /// testing: the two backends produce bit-identical outcomes and counters
-  /// (held by tests/test_dense_probe_state.cpp); dense is several times
-  /// faster (bench/bench_routing.cpp), so leave it on.
-  bool dense_probe_state = true;
   /// Adjacency backend for routing, validation, and journey compilation:
   /// kFlat resolves every neighbor / edge-key / edge-id query through the
   /// topology's CSR snapshot (Topology::flat_adjacency()), kImplicit through
   /// the virtual interface, kAuto picks flat iff num_vertices() fits
-  /// `flat_budget_vertices`. A pure A/B switch exactly like
-  /// `dense_probe_state`: outcomes and counters are bit-identical across
+  /// `flat_budget_vertices`. Outcomes and counters are bit-identical across
   /// modes (tests/test_flat_adjacency.cpp); flat is faster
-  /// (bench/bench_adjacency.cpp), so leave it on auto.
+  /// (bench/bench_adjacency.cpp) and implicit needs no per-graph memory,
+  /// so leave it on auto.
   AdjacencyMode adjacency = AdjacencyMode::kAuto;
   /// kAuto's materialization budget: snapshot topologies with at most this
   /// many vertices (~20 bytes per directed channel once, cached).
@@ -110,7 +103,7 @@ struct TrafficConfig {
   /// counted as `stranded`.
   std::uint64_t max_steps = 0;
   /// When non-null, the engine records wall-clock phase durations here
-  /// (bench instrumentation; see bench/bench_delivery.cpp). The pointee must
+  /// (scenario --cell-timings and bench instrumentation). The pointee must
   /// outlive the run_traffic call. Never affects simulation results.
   TrafficPhaseTimings* timings = nullptr;
   /// When non-null, the run feeds the observability sink (src/obs/): counters
@@ -194,8 +187,7 @@ struct TrafficResult {
   std::uint64_t transmissions = 0;      ///< channel transmit events (== summed edge load)
   std::uint64_t peak_active_channels = 0;  ///< most channels simultaneously queued
   /// Directed channels of the topology's ChannelIndex (2·edges for simple
-  /// graphs); the size of the engine's per-channel state. The reference
-  /// engine has no index and reports 0.
+  /// graphs); the size of the engine's per-channel state.
   std::uint64_t channels = 0;
 
   std::vector<MessageOutcome> outcomes;  // indexed by message id
@@ -244,22 +236,6 @@ struct TrafficResult {
                                         const RouterFactory& make_router,
                                         const std::vector<TrafficMessage>& messages,
                                         const TrafficConfig& config);
-
-/// The pre-rewrite delivery engine, retained as a differential-testing
-/// oracle: identical contract and results to run_traffic — the golden
-/// equivalence suite (tests/test_traffic_golden.cpp) holds them bit-for-bit
-/// equal on every curated scenario sweep — but phase 2 runs on node-based
-/// ordered containers (std::map timeline, std::set busy list, per-channel
-/// deques), so it is several times slower and its queue table grows with
-/// every distinct channel ever used. Only `TrafficResult::channels` differs:
-/// the reference engine has no channel index and reports 0. Use run_traffic
-/// everywhere; use this to cross-check engine changes and in
-/// bench/bench_delivery.cpp to measure the gap.
-[[nodiscard]] TrafficResult run_traffic_reference(const Topology& graph,
-                                                  const EdgeSampler& sampler,
-                                                  const RouterFactory& make_router,
-                                                  const std::vector<TrafficMessage>& messages,
-                                                  const TrafficConfig& config);
 
 /// Renders the aggregate metrics as a two-column report table.
 [[nodiscard]] Table traffic_table(const TrafficResult& result);

@@ -1,9 +1,11 @@
 #include "traffic/workload.hpp"
 
 #include <cmath>
+#include <cstdio>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "random/rng.hpp"
 
@@ -11,6 +13,13 @@
 namespace faultroute {
 
 namespace {
+
+/// %g rendering for diagnostics: std::to_string prints 1e-300 as 0.000000.
+std::string format_rate(double rate) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%g", rate);
+  return buffer;
+}
 
 /// Message ids are 32-bit throughout the traffic pipeline; generating more
 /// messages would silently alias ids (the old behaviour was a truncating
@@ -92,8 +101,10 @@ std::vector<TrafficMessage> generate_workload(const Topology& graph,
   std::vector<TrafficMessage> out;
   out.reserve(config.messages);
   double poisson_clock = 0.0;
-  if (config.kind == WorkloadKind::kPoisson && !(config.arrival_rate > 0.0)) {
-    throw std::invalid_argument("poisson workload requires arrival_rate > 0");
+  if (config.kind == WorkloadKind::kPoisson &&
+      !(std::isfinite(config.arrival_rate) && config.arrival_rate > 0.0)) {
+    throw std::invalid_argument("poisson workload requires a finite arrival_rate > 0, got " +
+                                format_rate(config.arrival_rate));
   }
   if (config.kind == WorkloadKind::kHotspot && config.hotspot_target >= n) {
     throw std::invalid_argument("hotspot target out of range");
@@ -124,6 +135,13 @@ std::vector<TrafficMessage> generate_workload(const Topology& graph,
     if (config.kind == WorkloadKind::kPoisson) {
       // Exponential inter-arrival times, floored onto the discrete clock.
       poisson_clock += -std::log1p(-uniform_double(rng)) / config.arrival_rate;
+      // Converting a double at or past 2^64 to uint64_t is undefined; a rate
+      // this small has no representable schedule.
+      if (!(poisson_clock < 0x1p64)) {
+        throw std::invalid_argument("poisson arrival_rate " + format_rate(config.arrival_rate) +
+                                    ": inject time of message " + std::to_string(i) +
+                                    " exceeds UINT64_MAX");
+      }
       msg.inject_time = static_cast<std::uint64_t>(poisson_clock);
     }
     out.push_back(msg);

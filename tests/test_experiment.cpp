@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <stdexcept>
+#include <string>
+
 #include "core/experiment.hpp"
 #include "core/routers/flood_router.hpp"
 #include "core/routers/landmark_router.hpp"
@@ -50,6 +54,28 @@ TEST(Experiment, ThrowsWhenConditioningImpossible) {
   config.trials = 1;
   config.max_resample_attempts = 5;
   EXPECT_THROW(run_routing_trials(g, 0.0, router, 0, 1, config), std::runtime_error);
+}
+
+TEST(Experiment, RejectsEndpointsOutsideTheGraph) {
+  // A vertex id past num_vertices() would index per-vertex tables out of
+  // bounds; both entry points must reject it, naming the bad endpoint.
+  const Mesh g(2, 8);
+  FloodRouter router;
+  ExperimentConfig config;
+  config.trials = 3;
+  EXPECT_THROW(run_routing_trials(g, 0.9, router, 999, 1, config), std::invalid_argument);
+  EXPECT_THROW(run_routing_trials(g, 0.9, router, 0, 64, config), std::invalid_argument);
+  const RouterFactory factory = [] { return std::make_unique<FloodRouter>(); };
+  EXPECT_THROW(run_routing_trials_parallel(g, 0.9, factory, 999, 1, config, 2),
+               std::invalid_argument);
+  try {
+    (void)run_routing_trials_parallel(g, 0.9, factory, 0, 999, config, 2);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("999"), std::string::npos) << e.what();
+  }
+  // The last valid vertex is accepted.
+  EXPECT_EQ(run_routing_trials(g, 0.9, router, 0, 63, config).size(), 3U);
 }
 
 TEST(Experiment, BudgetProducesCensoredTrials) {

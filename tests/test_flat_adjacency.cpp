@@ -227,27 +227,22 @@ void check_flat_equals_implicit(const EquivalenceCase& spec) {
   const HashEdgeSampler env(spec.p, 77);
   const auto factory = [&]() { return sim::make_router(spec.router, *graph); };
 
-  // The acceptance bar: bit-identical under both thread counts, for both
-  // probe-state backends.
+  // The acceptance bar: bit-identical under every thread count.
   for (const unsigned threads : {1u, 2u, 4u}) {
-    for (const bool dense : {true, false}) {
-      TrafficConfig config;
-      config.threads = threads;
-      config.dense_probe_state = dense;
-      if (spec.budget > 0) config.probe_budget = spec.budget;
+    TrafficConfig config;
+    config.threads = threads;
+    if (spec.budget > 0) config.probe_budget = spec.budget;
 
-      TrafficConfig flat = config;
-      flat.adjacency = AdjacencyMode::kFlat;
-      TrafficConfig implicit = config;
-      implicit.adjacency = AdjacencyMode::kImplicit;
+    TrafficConfig flat = config;
+    flat.adjacency = AdjacencyMode::kFlat;
+    TrafficConfig implicit = config;
+    implicit.adjacency = AdjacencyMode::kImplicit;
 
-      const TrafficResult a = run_traffic(*graph, env, factory, messages, flat);
-      const TrafficResult b = run_traffic(*graph, env, factory, messages, implicit);
-      expect_identical(a, b,
-                       spec.topology + "/" + spec.router + "/" + spec.workload +
-                           " threads=" + std::to_string(threads) +
-                           " dense=" + std::to_string(dense));
-    }
+    const TrafficResult a = run_traffic(*graph, env, factory, messages, flat);
+    const TrafficResult b = run_traffic(*graph, env, factory, messages, implicit);
+    expect_identical(a, b,
+                     spec.topology + "/" + spec.router + "/" + spec.workload +
+                         " threads=" + std::to_string(threads));
   }
 }
 

@@ -6,12 +6,11 @@
 // DistanceOracle columns instead of one BFS per graph.distance call. All of
 // it is advertised as a pure acceleration, so this suite is the pin: it
 // flips TrafficConfig::frontier across a topology × router × workload
-// matrix — both probe-state backends, both adjacency modes, budgets tight
-// enough to censor mid-search, threads 1 and 2 — and holds the two runs
+// matrix — both adjacency modes, the shared cache on and off, budgets tight
+// enough to censor mid-search, threads 1, 2 and 4 — and holds the two runs
 // equal on every aggregate, every exact double, and every per-message
-// outcome, mirroring tests/test_dense_probe_state.cpp for the probe-state
-// axis. It also checks the axes compose: batch/dense/flat against
-// hash/implicit/permsg end-to-end.
+// outcome. It also checks the axes compose: batch/flat against
+// permsg/implicit end-to-end.
 
 #include <gtest/gtest.h>
 
@@ -73,8 +72,8 @@ struct EquivalenceCase {
   std::uint64_t budget = 0;  // 0 = unbounded
 };
 
-void check_batch_equals_permsg(const EquivalenceCase& spec, bool dense_probe_state,
-                               const std::string& adjacency, unsigned threads) {
+void check_batch_equals_permsg(const EquivalenceCase& spec, const std::string& adjacency,
+                               unsigned threads, bool shared_cache = true) {
   const auto graph = sim::make_topology(spec.topology);
   const HashEdgeSampler env(spec.p, derive_seed(2005, 7));
   WorkloadConfig workload = sim::make_workload(spec.workload);
@@ -85,7 +84,7 @@ void check_batch_equals_permsg(const EquivalenceCase& spec, bool dense_probe_sta
 
   TrafficConfig config;
   config.threads = threads;
-  config.dense_probe_state = dense_probe_state;
+  config.use_shared_cache = shared_cache;
   config.adjacency = parse_adjacency_mode(adjacency);
   if (spec.budget > 0) config.probe_budget = spec.budget;
 
@@ -99,7 +98,7 @@ void check_batch_equals_permsg(const EquivalenceCase& spec, bool dense_probe_sta
                    spec.topology + "/" + spec.router + "/" + spec.workload +
                        " p=" + std::to_string(spec.p) +
                        " budget=" + std::to_string(spec.budget) +
-                       (dense_probe_state ? " dense" : " hash") + " adjacency=" +
+                       (shared_cache ? " cached" : " uncached") + " adjacency=" +
                        adjacency + " threads=" + std::to_string(threads));
 }
 
@@ -145,33 +144,32 @@ const std::vector<EquivalenceCase> kPassThroughCases = {
 
 TEST(FrontierSearch, BatchExecutorMatchesPerMessageRouting) {
   for (const auto& spec : kExecutorCases) {
-    check_batch_equals_permsg(spec, /*dense=*/true, "flat", /*threads=*/1);
+    check_batch_equals_permsg(spec, "flat", /*threads=*/1);
   }
 }
 
 TEST(FrontierSearch, OracleBackedRoutersMatchPerMessageRouting) {
   for (const auto& spec : kOracleCases) {
-    check_batch_equals_permsg(spec, /*dense=*/true, "flat", /*threads=*/1);
+    check_batch_equals_permsg(spec, "flat", /*threads=*/1);
   }
 }
 
 TEST(FrontierSearch, PassThroughRoutersAreUnaffected) {
   for (const auto& spec : kPassThroughCases) {
-    check_batch_equals_permsg(spec, /*dense=*/true, "flat", /*threads=*/1);
+    check_batch_equals_permsg(spec, "flat", /*threads=*/1);
   }
 }
 
-TEST(FrontierSearch, MatchesAcrossProbeStateBackends) {
-  // The executor calls is_open_indexed on the dense backend and is_open on
-  // the hash backend, exactly as ProbeContext would; both must agree with
-  // their per-message twins (including the cache-counter identities the
-  // backends pair with).
-  check_batch_equals_permsg({"de_bruijn:8", "flood", "random-pairs", 0.55},
-                            /*dense=*/false, "flat", /*threads=*/1);
-  check_batch_equals_permsg({"hypercube:8", "bidirectional", "permutation", 0.5, 500},
-                            /*dense=*/false, "flat", /*threads=*/1);
-  check_batch_equals_permsg({"de_bruijn:8", "greedy", "random-pairs", 0.55},
-                            /*dense=*/false, "flat", /*threads=*/1);
+TEST(FrontierSearch, MatchesWithoutTheSharedCache) {
+  // With the cache off the executor's is_open_indexed calls reach the raw
+  // sampler's default implementation, exactly as ProbeContext's do; both
+  // must agree with their per-message twins.
+  check_batch_equals_permsg({"de_bruijn:8", "flood", "random-pairs", 0.55}, "flat",
+                            /*threads=*/1, /*shared_cache=*/false);
+  check_batch_equals_permsg({"hypercube:8", "bidirectional", "permutation", 0.5, 500}, "flat",
+                            /*threads=*/1, /*shared_cache=*/false);
+  check_batch_equals_permsg({"de_bruijn:8", "greedy", "random-pairs", 0.55}, "flat",
+                            /*threads=*/1, /*shared_cache=*/false);
 }
 
 TEST(FrontierSearch, MatchesAcrossAdjacencyModes) {
@@ -179,11 +177,11 @@ TEST(FrontierSearch, MatchesAcrossAdjacencyModes) {
   // per-message routing there — and still produce the same results as every
   // other (mode, adjacency) combination.
   check_batch_equals_permsg({"de_bruijn:8", "flood", "random-pairs", 0.55},
-                            /*dense=*/true, "implicit", /*threads=*/1);
+                            "implicit", /*threads=*/1);
   check_batch_equals_permsg({"de_bruijn:8", "best-first", "random-pairs", 0.6},
-                            /*dense=*/true, "implicit", /*threads=*/1);
+                            "implicit", /*threads=*/1);
   check_batch_equals_permsg({"ccc:5", "bidirectional", "random-pairs", 0.6},
-                            /*dense=*/true, "auto", /*threads=*/1);
+                            "auto", /*threads=*/1);
 }
 
 TEST(FrontierSearch, MatchesUnderThreadedRouting) {
@@ -192,18 +190,18 @@ TEST(FrontierSearch, MatchesUnderThreadedRouting) {
   // point (4 workers on smaller machines).
   for (const unsigned threads : {2u, 4u}) {
     check_batch_equals_permsg({"hypercube:8", "flood", "random-pairs", 0.5, 400},
-                              /*dense=*/true, "flat", threads);
+                              "flat", threads);
     check_batch_equals_permsg({"de_bruijn:8", "best-first", "random-pairs", 0.6},
-                              /*dense=*/true, "flat", threads);
+                              "flat", threads);
     check_batch_equals_permsg({"ccc:5", "bidirectional", "random-pairs", 0.6},
-                              /*dense=*/true, "flat", threads);
+                              "flat", threads);
   }
 }
 
 TEST(FrontierSearch, BatchAxisComposesWithTheOtherABAxes) {
-  // Fully crossed extremes: batch/dense/flat (the fast path everything
-  // defaults to) against permsg/hash/implicit (every accelerator off). One
-  // executor case and one oracle case.
+  // Fully crossed extremes: batch/flat (the fast path everything defaults
+  // to) against permsg/implicit (every accelerator off). One executor case
+  // and one oracle case.
   const EquivalenceCase cases[] = {
       {"de_bruijn:8", "flood-target-first", "random-pairs", 0.55},
       {"de_bruijn:8", "hybrid", "random-pairs", 0.55},
@@ -219,11 +217,9 @@ TEST(FrontierSearch, BatchAxisComposesWithTheOtherABAxes) {
 
     TrafficConfig fast;
     fast.frontier = FrontierMode::kBatch;
-    fast.dense_probe_state = true;
     fast.adjacency = AdjacencyMode::kFlat;
     TrafficConfig slow;
     slow.frontier = FrontierMode::kPerMessage;
-    slow.dense_probe_state = false;
     slow.adjacency = AdjacencyMode::kImplicit;
     expect_identical(run_traffic(*graph, env, factory, messages, fast),
                      run_traffic(*graph, env, factory, messages, slow),

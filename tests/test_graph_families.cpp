@@ -325,7 +325,7 @@ TEST(ChannelIndex, CachedInstanceIsSharedAndButterflyHasParallelChannels) {
 }
 
 TEST(ChannelIndex, EdgeIdsAreDenseSharedByDirectionsAndDistinctPerKey) {
-  // edge_id_of is the index space of the dense probe-state engine: both
+  // edge_id_of is the index space of ProbeArena and SharedProbeCache: both
   // directions of an edge share one id, distinct keys (including the
   // butterfly's parallel edges) get distinct ids, and the id range is
   // exactly [0, num_edges).

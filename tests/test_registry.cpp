@@ -129,6 +129,8 @@ TEST(RegistryWorkload, RejectsMalformedSpecs) {
       "poisson:0",     // rate must be > 0
       "poisson:-1",    // rate must be > 0
       "poisson:abc",   // not a number
+      "poisson:inf",   // rate must be finite
+      "poisson:nan",   // rate must be a number
       "poisson:1:2",   // too many arguments
       "hotspot:xyz",   // target not a number
       "hotspot:-1",    // target must be >= 0

@@ -2,13 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/routers/flood_router.hpp"
 #include "core/routers/greedy_router.hpp"
+#include "graph/channel_index.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
@@ -122,6 +126,31 @@ TEST(Workload, RejectsMessageCountsThatWouldAliasIds) {
   EXPECT_TRUE(generate_workload(g, max_ok).empty());
 }
 
+TEST(Workload, PoissonRejectsRatesWithNoRepresentableSchedule) {
+  // A rate of 1e-300 puts the first inject time near 1e300, far past
+  // UINT64_MAX, where the double-to-integer cast is undefined; a non-finite
+  // rate has no schedule at all. Both must throw, naming the rate.
+  const Hypercube g(4);
+  WorkloadConfig config;
+  config.kind = WorkloadKind::kPoisson;
+  config.messages = 4;
+  config.arrival_rate = 1e-300;
+  try {
+    (void)generate_workload(g, config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("1e-300"), std::string::npos) << e.what();
+  }
+  for (const double rate : {std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), 0.0, -1.0}) {
+    config.arrival_rate = rate;
+    EXPECT_THROW((void)generate_workload(g, config), std::invalid_argument) << rate;
+  }
+  // Small but representable rates still generate.
+  config.arrival_rate = 1e-9;
+  EXPECT_EQ(generate_workload(g, config).size(), 4U);
+}
+
 TEST(Workload, DeterministicInSeed) {
   const Hypercube g(6);
   WorkloadConfig config;
@@ -177,6 +206,59 @@ TEST(SharedProbeCache, ConsistentUnderConcurrentProbing) {
   }
   for (auto& t : pool) t.join();
   EXPECT_FALSE(mismatch);
+  EXPECT_EQ(cache.unique_edges(), g.num_edges());
+}
+
+TEST(SharedProbeCacheCounters, HitsPlusMissesEqualsProbesUnderThreadRaces) {
+  // Eight threads hammer the same edge set concurrently, so first-probe
+  // races are plentiful. Every call must land in exactly one counter, and a
+  // miss only on actual publication: hits + misses == calls and misses ==
+  // unique_edges() == the edge count. A cache that counts a miss for both
+  // racers of a first probe breaks both identities.
+  const Hypercube g(8);
+  const HashEdgeSampler base(0.5, 3);
+  const SharedProbeCache cache(base, g);
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 3;
+  std::atomic<std::uint64_t> calls{0};
+  std::vector<std::thread> pool;
+  pool.reserve(kThreads);
+  for (int w = 0; w < kThreads; ++w) {
+    pool.emplace_back([&] {
+      std::uint64_t local_calls = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        for (VertexId v = 0; v < g.num_vertices(); ++v) {
+          for (int i = 0; i < g.degree(v); ++i) {
+            (void)cache.is_open(g.edge_key(v, i));
+            ++local_calls;
+          }
+        }
+      }
+      calls.fetch_add(local_calls);
+    });
+  }
+  for (auto& t : pool) t.join();
+  EXPECT_EQ(cache.approx_hits() + cache.approx_misses(), calls.load());
+  EXPECT_EQ(cache.approx_misses(), cache.unique_edges());
+  EXPECT_EQ(cache.unique_edges(), g.num_edges());
+}
+
+TEST(SharedProbeCacheCounters, SequentialCountsAreExact) {
+  const Hypercube g(5);
+  const HashEdgeSampler base(0.5, 9);
+  const SharedProbeCache cache(base, g);
+  // First sweep: every probe is a miss. Second sweep: every probe is a hit,
+  // from either endpoint (both directions resolve to the same edge id).
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (int i = 0; i < g.degree(v); ++i) {
+      const std::uint32_t edge = g.channel_index().edge_id_of(
+          g.channel_index().channel_of(v, i));
+      (void)cache.is_open_indexed(edge, g.edge_key(v, i));
+    }
+  }
+  // 2E probes over E edges: E misses (first touch) + E hits (reverse side).
+  EXPECT_EQ(cache.approx_misses(), g.num_edges());
+  EXPECT_EQ(cache.approx_hits(), g.num_edges());
   EXPECT_EQ(cache.unique_edges(), g.num_edges());
 }
 

@@ -329,12 +329,6 @@ TEST(TrafficGolden, OutcomeDigests) {
   }
 }
 
-TEST(TrafficGolden, StripProvenanceRemovesOnlyTheProvenanceMember) {
-  EXPECT_EQ(strip_provenance(R"({"a":1,"provenance":{"git_hash":"x","b":"y"},"name":"n"})"),
-            R"({"a":1,"name":"n"})");
-  EXPECT_EQ(strip_provenance(R"({"type":"cell","cell":0})"), R"({"type":"cell","cell":0})");
-}
-
 // The single-pair Definition-2 harness as an independent referee: a fresh
 // ProbeContext with the hash backend (no arena), implicit adjacency, the raw
 // environment sampler (no shared cache) and no distance oracle routes each

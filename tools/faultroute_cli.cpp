@@ -41,6 +41,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -77,6 +78,9 @@ using namespace faultroute;
 /// Minimal --key value / --key=value parser.
 class Args {
  public:
+  /// Same cap as the scenario grammar's `threads` key.
+  static constexpr std::uint64_t kMaxThreads = 4096;
+
   Args(int argc, char** argv, int first) {
     for (int i = first; i < argc; ++i) {
       std::string token = argv[i];
@@ -104,13 +108,57 @@ class Args {
     if (it == values_.end()) throw std::invalid_argument("missing required --" + key);
     return it->second;
   }
+  // Numeric flags parse strictly (sim/strict_parse.hpp): the whole token
+  // must be the number, so "1x", "abc" and "-1" are errors naming the flag.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
     const auto it = values_.find(key);
-    return it != values_.end() ? std::stod(it->second) : fallback;
+    if (it == values_.end()) return fallback;
+    const auto value = sim::strict_f64(it->second);
+    if (!value) {
+      throw std::invalid_argument("--" + key + " must be a number, got '" + it->second + "'");
+    }
+    return *value;
   }
   [[nodiscard]] std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
     const auto it = values_.find(key);
-    return it != values_.end() ? std::stoull(it->second) : fallback;
+    if (it == values_.end()) return fallback;
+    const auto value = sim::strict_u64(it->second);
+    if (!value) {
+      throw std::invalid_argument("--" + key + " must be a non-negative integer, got '" +
+                                  it->second + "'");
+    }
+    return *value;
+  }
+  /// get_u64 for flags narrowed to a smaller type: values above `max` are
+  /// an error naming the flag, never a truncating cast.
+  [[nodiscard]] std::uint64_t get_u64_at_most(const std::string& key, std::uint64_t fallback,
+                                              std::uint64_t max) const {
+    const std::uint64_t value = get_u64(key, fallback);
+    if (value > max) {
+      throw std::invalid_argument("--" + key + " must be at most " + std::to_string(max) +
+                                  ", got " + std::to_string(value));
+    }
+    return value;
+  }
+  /// --threads, capped at kMaxThreads.
+  [[nodiscard]] unsigned threads(unsigned fallback) const {
+    return static_cast<unsigned>(get_u64_at_most("threads", fallback, kMaxThreads));
+  }
+  /// --trials, which the experiment harness counts in an int.
+  [[nodiscard]] int trials(int fallback) const {
+    return static_cast<int>(get_u64_at_most("trials", static_cast<std::uint64_t>(fallback),
+                                            std::numeric_limits<int>::max()));
+  }
+  /// A vertex-id flag (--from / --to): must name a vertex of `graph`.
+  [[nodiscard]] VertexId vertex(const std::string& key, VertexId fallback,
+                                const Topology& graph) const {
+    const std::uint64_t value = get_u64(key, fallback);
+    if (value >= graph.num_vertices()) {
+      throw std::invalid_argument("--" + key + " " + std::to_string(value) +
+                                  " is not a vertex of " + graph.name() + " (" +
+                                  std::to_string(graph.num_vertices()) + " vertices)");
+    }
+    return value;
   }
 
  private:
@@ -118,8 +166,8 @@ class Args {
 };
 
 /// Shared --adjacency flag: CSR-snapshot vs implicit-virtual adjacency
-/// backend (graph/flat_adjacency.hpp). Results are identical; the flag is
-/// the A/B switch in the mould of --engine / --probe-state.
+/// backend (graph/flat_adjacency.hpp). Results are identical; the flag
+/// trades the snapshot's memory for speed.
 AdjacencyMode adjacency_of(const Args& args) {
   return parse_adjacency_mode(args.get("adjacency", "auto"));
 }
@@ -199,8 +247,8 @@ int cmd_route(const Args& args) {
   VertexId u;
   VertexId v;
   default_pair(*graph, u, v);
-  u = args.get_u64("from", u);
-  v = args.get_u64("to", v);
+  u = args.vertex("from", u, *graph);
+  v = args.vertex("to", v, *graph);
 
   ObsSink sink(args, "route");
   obs::PhaseProfiler* profiler = sink.metrics() ? &sink.metrics()->profiler() : nullptr;
@@ -270,7 +318,7 @@ int cmd_threshold(const Args& args) {
   const auto graph = sim::make_topology(args.require("topology"));
   ThresholdConfig config;
   config.target_fraction = args.get_double("target", 0.2);
-  config.trials_per_point = static_cast<int>(args.get_u64("trials", 6));
+  config.trials_per_point = args.trials(6);
   config.tolerance = args.get_double("tolerance", 0.005);
   config.seed = args.get_u64("seed", 2005);
   ObsSink sink(args, "threshold");
@@ -295,11 +343,11 @@ int cmd_trials(const Args& args) {
   VertexId u;
   VertexId v;
   default_pair(*graph, u, v);
-  u = args.get_u64("from", u);
-  v = args.get_u64("to", v);
+  u = args.vertex("from", u, *graph);
+  v = args.vertex("to", v, *graph);
 
   ExperimentConfig config;
-  config.trials = static_cast<int>(args.get_u64("trials", 30));
+  config.trials = args.trials(30);
   config.base_seed = args.get_u64("seed", 2005);
   if (args.get_u64("budget", 0) > 0) config.probe_budget = args.get_u64("budget", 0);
 
@@ -309,8 +357,7 @@ int cmd_trials(const Args& args) {
   {
     const obs::PhaseProfiler::Scope scope(
         sink.metrics() ? &sink.metrics()->profiler() : nullptr, "trials");
-    outcomes = run_routing_trials_parallel(*graph, p, factory, u, v, config,
-                                           static_cast<unsigned>(args.get_u64("threads", 0)));
+    outcomes = run_routing_trials_parallel(*graph, p, factory, u, v, config, args.threads(0));
   }
   const ExperimentSummary s = summarize_trials(outcomes);
   if (sink.metrics()) {
@@ -392,7 +439,7 @@ int cmd_traffic(const Args& args) {
 
   TrafficConfig config;
   config.edge_capacity = args.get_u64("capacity", 1);
-  config.threads = static_cast<unsigned>(args.get_u64("threads", 0));
+  config.threads = args.threads(0);
   if (args.get_u64("budget", 0) > 0) config.probe_budget = args.get_u64("budget", 0);
   const std::string cache_flag = args.get("shared-cache", "true");
   if (cache_flag != "true" && cache_flag != "false") {
@@ -401,32 +448,13 @@ int cmd_traffic(const Args& args) {
   }
   config.use_shared_cache = cache_flag == "true";
 
-  // --engine reference runs the legacy container-based delivery engine (the
-  // differential-testing oracle); results are identical, only speed and the
-  // engine counters differ.
-  const std::string engine = args.get("engine", "event");
-  if (engine != "event" && engine != "reference") {
-    throw std::invalid_argument("--engine must be 'event' or 'reference', got '" + engine +
-                                "'");
-  }
-
-  // --probe-state hash routes phase 1 through the per-message hash-container
-  // backend instead of the pooled dense arrays — the routing-phase analogue
-  // of --engine, for A/B timing and differential runs. Results identical.
-  const std::string probe_state = args.get("probe-state", "dense");
-  if (probe_state != "dense" && probe_state != "hash") {
-    throw std::invalid_argument("--probe-state must be 'dense' or 'hash', got '" +
-                                probe_state + "'");
-  }
-  config.dense_probe_state = probe_state == "dense";
-
   // --adjacency flat|implicit|auto: CSR-snapshot vs virtual adjacency for
-  // the routing phase — the third A/B axis next to --engine/--probe-state.
+  // the routing phase.
   config.adjacency = adjacency_of(args);
 
   // --frontier batch|permsg: batched frontier search + distance-oracle
-  // prewarm vs one independent search per message — the fourth A/B axis.
-  // Results identical (parse_frontier_mode throws on anything else).
+  // prewarm vs one independent search per message. Results identical
+  // (parse_frontier_mode throws on anything else).
   config.frontier = parse_frontier_mode(args.get("frontier", "batch"));
 
   // --snapshot-dir DIR resolves the routing adjacency from an on-disk
@@ -440,9 +468,9 @@ int cmd_traffic(const Args& args) {
     config.flat_snapshot = snapshot.get();
   }
 
-  // --metrics/--trace attach the observability sink; the event engine also
+  // --metrics/--trace attach the observability sink; the engine also
   // records the bounded per-step delivery time-series into the report
-  // (--trace-samples caps its memory; the reference engine doesn't sample).
+  // (--trace-samples caps its memory).
   ObsSink sink(args, "traffic");
   config.metrics = sink.metrics();
   if (sink.metrics()) {
@@ -453,13 +481,11 @@ int cmd_traffic(const Args& args) {
   const HashEdgeSampler env(p, seed);
   const auto messages = generate_workload(*graph, workload);
   const auto factory = [&]() { return sim::make_router(router_name, *graph); };
-  const TrafficResult result =
-      engine == "event" ? run_traffic(*graph, env, factory, messages, config)
-                        : run_traffic_reference(*graph, env, factory, messages, config);
+  const TrafficResult result = run_traffic(*graph, env, factory, messages, config);
 
   traffic_table(result).print(graph->name() + "  p=" + Table::fmt(p, 3) + "  router=" +
                               router_name + "  workload=" + workload_name(workload.kind) +
-                              "  engine=" + engine + "  adjacency=" +
+                              "  adjacency=" +
                               adjacency_mode_name(config.adjacency) + "  frontier=" +
                               frontier_mode_name(config.frontier));
   sink.finish();
@@ -482,11 +508,7 @@ int cmd_scenario(const std::string& file, const Args& args) {
   scenario::apply_scenario_assignments(spec, inline_spec);
   spec.seed = args.get_u64("seed", spec.seed);
   spec.snapshot_dir = args.get("snapshot-dir", spec.snapshot_dir);
-  const std::uint64_t threads = args.get_u64("threads", spec.threads);
-  if (threads > 4096) {  // same cap as the spec grammar's `threads` key
-    throw std::invalid_argument("--threads capped at 4096, got " + std::to_string(threads));
-  }
-  spec.threads = static_cast<unsigned>(threads);
+  spec.threads = args.threads(spec.threads);
   if (args.get("quick", "false") == "true") {
     spec.messages = std::min<std::uint64_t>(spec.messages, 64);
     spec.trials = std::min<std::uint64_t>(spec.trials, 2);
@@ -650,10 +672,9 @@ void print_usage() {
             << "traffic flags:     --workload W --messages N --workload-seed S\n"
             << "                   --capacity C --threads T --budget B --target V\n"
             << "                   --rate R --shared-cache true|false\n"
-            << "                   --engine event|reference (delivery engine A/B)\n"
-            << "                   --probe-state dense|hash (routing backend A/B)\n"
-            << "                   --adjacency flat|implicit|auto (CSR snapshot A/B;\n"
-            << "                     also on components/threshold/permutation)\n"
+            << "                   --adjacency flat|implicit|auto (CSR snapshot vs\n"
+            << "                     virtual adjacency; also on components/threshold/\n"
+            << "                     permutation)\n"
             << "                   --frontier batch|permsg (batched frontier search +\n"
             << "                     distance-oracle prewarm A/B)\n"
             << "                   --snapshot-dir DIR (mmap the CSR adjacency from an\n"
