@@ -1,28 +1,28 @@
-// Dense-vs-hash probe-state equivalence suite.
+// Dense probe-state suite.
 //
-// The dense routing engine (epoch-stamped ProbeArena memo + lock-free
-// tri-state SharedProbeCache) is a pure representation change: the sampler
-// is a deterministic function of the edge key, so every routed path, every
-// per-message outcome, and every counter must be bit-identical to the
-// hash-container backend it replaced. TrafficConfig::dense_probe_state is
-// the A/B switch; this suite flips it across a topology × router × workload
-// matrix (local and oracle modes, budgets, cache on/off) and holds the two
-// runs equal on everything observable. A threaded test pins down the
-// rewritten cache's counter identities: hits + misses == probe calls and
-// misses == unique_edges(), which the sharded-map cache violated by
-// counting a miss for both losers of a first-probe race.
+// The routing phase keeps all probe state dense over ChannelIndex edge ids:
+// one epoch-stamped ProbeArena per worker, reused across that worker's
+// messages, optionally backed by the lock-free tri-state SharedProbeCache.
+// The sampler is a deterministic function of the edge key, so neither the
+// cache nor the assignment of messages to workers may change anything a run
+// reports except the cache's own counters. These tests hold cached and
+// uncached runs, and 1-worker and 4-worker runs, equal on every aggregate
+// and per-message outcome across a topology × router × workload matrix
+// (local and oracle modes, budgets, parallel edges), and pin the cache's
+// counter identities: hits + misses == probe calls and misses ==
+// unique_edges().
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "core/routers/greedy_router.hpp"
 #include "graph/channel_index.hpp"
 #include "graph/hypercube.hpp"
+#include "percolation/edge_sampler.hpp"
 #include "random/rng.hpp"
 #include "sim/registry.hpp"
 #include "traffic/shared_probe_cache.hpp"
@@ -32,8 +32,10 @@
 namespace faultroute {
 namespace {
 
-void expect_identical(const TrafficResult& a, const TrafficResult& b,
-                      const std::string& label) {
+// Everything a run reports except the shared cache's counters
+// (unique_edges_probed, cache_hits, cache_misses), which are 0 without it.
+void expect_same_routing_and_delivery(const TrafficResult& a, const TrafficResult& b,
+                                      const std::string& label) {
   EXPECT_EQ(a.messages, b.messages) << label;
   EXPECT_EQ(a.routed, b.routed) << label;
   EXPECT_EQ(a.failed_routing, b.failed_routing) << label;
@@ -42,7 +44,6 @@ void expect_identical(const TrafficResult& a, const TrafficResult& b,
   EXPECT_EQ(a.delivered, b.delivered) << label;
   EXPECT_EQ(a.stranded, b.stranded) << label;
   EXPECT_EQ(a.total_distinct_probes, b.total_distinct_probes) << label;
-  EXPECT_EQ(a.unique_edges_probed, b.unique_edges_probed) << label;
   EXPECT_EQ(a.max_edge_load, b.max_edge_load) << label;
   EXPECT_EQ(a.mean_edge_load, b.mean_edge_load) << label;  // exact: same doubles
   EXPECT_EQ(a.edges_used, b.edges_used) << label;
@@ -69,7 +70,7 @@ void expect_identical(const TrafficResult& a, const TrafficResult& b,
   }
 }
 
-struct EquivalenceCase {
+struct ProbeStateCase {
   std::string topology;
   std::string router;
   std::string workload;
@@ -77,8 +78,7 @@ struct EquivalenceCase {
   std::uint64_t budget = 0;  // 0 = unbounded
 };
 
-void check_dense_equals_hash(const EquivalenceCase& spec, bool shared_cache,
-                             unsigned threads) {
+TrafficResult run_case(const ProbeStateCase& spec, bool shared_cache, unsigned threads) {
   const auto graph = sim::make_topology(spec.topology);
   const HashEdgeSampler env(spec.p, derive_seed(2005, 7));
   WorkloadConfig workload = sim::make_workload(spec.workload);
@@ -91,26 +91,19 @@ void check_dense_equals_hash(const EquivalenceCase& spec, bool shared_cache,
   config.threads = threads;
   config.use_shared_cache = shared_cache;
   if (spec.budget > 0) config.probe_budget = spec.budget;
-
-  TrafficConfig dense = config;
-  dense.dense_probe_state = true;
-  TrafficConfig hash = config;
-  hash.dense_probe_state = false;
-
-  expect_identical(run_traffic(*graph, env, factory, messages, dense),
-                   run_traffic(*graph, env, factory, messages, hash),
-                   spec.topology + "/" + spec.router + "/" + spec.workload +
-                       " p=" + std::to_string(spec.p) +
-                       " budget=" + std::to_string(spec.budget) +
-                       (shared_cache ? " cached" : " uncached") + " threads=" +
-                       std::to_string(threads));
+  return run_traffic(*graph, env, factory, messages, config);
 }
 
-TEST(DenseProbeState, MatchesHashBackendAcrossTopologiesRoutersAndModes) {
-  // Local-mode routers on structured families, oracle routers on G(n,p),
-  // budgets tight enough to censor, the butterfly's parallel edges, and a
-  // Poisson stream — the regimes whose probe patterns differ most.
-  const std::vector<EquivalenceCase> cases = {
+std::string label_of(const ProbeStateCase& spec) {
+  return spec.topology + "/" + spec.router + "/" + spec.workload +
+         " p=" + std::to_string(spec.p) + " budget=" + std::to_string(spec.budget);
+}
+
+// Local-mode routers on structured families, oracle routers on G(n,p),
+// budgets tight enough to censor, the butterfly's parallel edges, and a
+// Poisson stream — the regimes whose probe patterns differ most.
+const std::vector<ProbeStateCase>& probe_state_cases() {
+  static const std::vector<ProbeStateCase> cases = {
       {"hypercube:8", "landmark", "permutation", 0.55},
       {"hypercube:8", "best-first", "random-pairs", 0.6},
       {"torus:2:12", "landmark", "poisson:2", 0.7},
@@ -120,45 +113,30 @@ TEST(DenseProbeState, MatchesHashBackendAcrossTopologiesRoutersAndModes) {
       {"complete:128", "gnp-oracle", "random-pairs", 0.03},
       {"complete:128", "gnp-local", "random-pairs", 0.03},
   };
-  for (const auto& spec : cases) {
-    check_dense_equals_hash(spec, /*shared_cache=*/true, /*threads=*/1);
+  return cases;
+}
+
+TEST(DenseProbeState, SharedCacheIsTransparentAcrossTopologiesRoutersAndModes) {
+  // With the cache on, arenas resolve first probes through the tri-state CAS
+  // cache; with it off, through the raw sampler's is_open_indexed default.
+  // The answers must not care.
+  for (const auto& spec : probe_state_cases()) {
+    expect_same_routing_and_delivery(run_case(spec, /*shared_cache=*/true, 1),
+                                     run_case(spec, /*shared_cache=*/false, 1),
+                                     label_of(spec) + " cached vs uncached");
   }
 }
 
-TEST(DenseProbeState, MatchesHashBackendWithoutTheSharedCache) {
-  // With the cache off the dense backend talks straight to the raw sampler
-  // through is_open_indexed's default; the answers must not care.
-  check_dense_equals_hash({"hypercube:8", "landmark", "permutation", 0.55},
-                          /*shared_cache=*/false, /*threads=*/1);
-  check_dense_equals_hash({"hypercube:8", "flood", "random-pairs", 0.5, 400},
-                          /*shared_cache=*/false, /*threads=*/1);
-}
-
-TEST(DenseProbeState, MatchesHashBackendUnderThreadedRouting) {
-  // Per-thread arenas + the lock-free cache versus per-message hash
-  // containers + (the same) cache, 4 workers each.
-  check_dense_equals_hash({"hypercube:8", "best-first", "random-pairs", 0.6},
-                          /*shared_cache=*/true, /*threads=*/4);
-  check_dense_equals_hash({"torus:2:12", "landmark", "poisson:2", 0.7},
-                          /*shared_cache=*/true, /*threads=*/4);
-}
-
-TEST(DenseProbeState, DenseRunIsDeterministicAcrossThreadCounts) {
-  const auto run_with = [](unsigned threads) {
-    const Hypercube g(8);
-    const HashEdgeSampler env(0.6, 11);
-    WorkloadConfig workload;
-    workload.kind = WorkloadKind::kRandomPairs;
-    workload.messages = 300;
-    workload.seed = 5;
-    TrafficConfig config;
-    config.threads = threads;
-    const auto factory = [] { return std::make_unique<BestFirstRouter>(); };
-    return run_traffic(g, env, factory, generate_workload(g, workload), config);
-  };
-  const TrafficResult one = run_with(1);
-  expect_identical(one, run_with(3), "threads=3");
-  expect_identical(one, run_with(8), "threads=8");
+TEST(DenseProbeState, ArenaReuseIsIndependentOfWorkerAssignment) {
+  // Each worker reuses one arena for all its messages, isolated only by the
+  // epoch bump. Which messages share an arena changes with the thread count;
+  // the results must not.
+  for (const auto& spec : probe_state_cases()) {
+    const TrafficResult one = run_case(spec, /*shared_cache=*/true, 1);
+    const TrafficResult four = run_case(spec, /*shared_cache=*/true, 4);
+    expect_same_routing_and_delivery(one, four, label_of(spec) + " threads 1 vs 4");
+    EXPECT_EQ(one.unique_edges_probed, four.unique_edges_probed) << label_of(spec);
+  }
 }
 
 // --------------------------------------------------- SharedProbeCache counters
@@ -167,8 +145,8 @@ TEST(SharedProbeCacheCounters, HitsPlusMissesEqualsProbesUnderThreadRaces) {
   // Eight threads hammer the same edge set concurrently, so first-probe
   // races are plentiful. Every call must land in exactly one counter, and a
   // miss only on actual publication: hits + misses == calls and misses ==
-  // unique_edges() == the edge count. The sharded-map cache double-counted
-  // here (both racers bumped misses_), breaking both identities.
+  // unique_edges() == the edge count. A cache that counts a miss for both
+  // racers of a first probe breaks both identities.
   const Hypercube g(8);
   const HashEdgeSampler base(0.5, 3);
   const SharedProbeCache cache(base, g);
@@ -192,37 +170,6 @@ TEST(SharedProbeCacheCounters, HitsPlusMissesEqualsProbesUnderThreadRaces) {
     });
   }
   for (auto& t : pool) t.join();
-  EXPECT_EQ(cache.approx_hits() + cache.approx_misses(), calls.load());
-  EXPECT_EQ(cache.approx_misses(), cache.unique_edges());
-  EXPECT_EQ(cache.unique_edges(), g.num_edges());
-}
-
-TEST(SharedProbeCacheCounters, ShardedOracleCountersObeyTheSameIdentities) {
-  // The retained pre-rewrite cache carries the miss-counting fix too: a
-  // first-probe race must not count a miss for both racers.
-  const Hypercube g(8);
-  const HashEdgeSampler base(0.5, 3);
-  const ShardedProbeCache cache(base);
-  constexpr int kThreads = 8;
-  std::atomic<std::uint64_t> calls{0};
-  std::atomic<bool> mismatch{false};
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    pool.emplace_back([&] {
-      std::uint64_t local_calls = 0;
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        for (int i = 0; i < g.degree(v); ++i) {
-          const EdgeKey key = g.edge_key(v, i);
-          if (cache.is_open(key) != base.is_open(key)) mismatch = true;
-          ++local_calls;
-        }
-      }
-      calls.fetch_add(local_calls);
-    });
-  }
-  for (auto& t : pool) t.join();
-  EXPECT_FALSE(mismatch);
   EXPECT_EQ(cache.approx_hits() + cache.approx_misses(), calls.load());
   EXPECT_EQ(cache.approx_misses(), cache.unique_edges());
   EXPECT_EQ(cache.unique_edges(), g.num_edges());
