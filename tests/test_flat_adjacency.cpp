@@ -332,6 +332,40 @@ TEST(FlatAdjacencyPercolation, ClusterAnalysesMatchAcrossBackends) {
       EXPECT_EQ(flat_path.path, implicit_path.path) << spec;
     }
   }
+
+  // Sweep scale: full cluster decompositions of 2^11-vertex families and a
+  // 48x48 torus around their thresholds, then shortest open paths between
+  // random pairs of a supercritical torus.
+  std::uint64_t index = 0;
+  for (const char* spec : {"hypercube:11", "torus:2:48", "de_bruijn:11"}) {
+    const auto graph = sim::make_topology(spec);
+    for (const double p : {0.3, 0.5, 0.7}) {
+      const HashEdgeSampler env(p, derive_seed(20050701, index++));
+      const ComponentSummary flat = analyze_components(*graph, env, AdjacencyMode::kFlat);
+      const ComponentSummary implicit =
+          analyze_components(*graph, env, AdjacencyMode::kImplicit);
+      EXPECT_EQ(flat.num_open_edges, implicit.num_open_edges) << spec << " p=" << p;
+      EXPECT_EQ(flat.num_components, implicit.num_components) << spec << " p=" << p;
+      EXPECT_EQ(flat.largest, implicit.largest) << spec << " p=" << p;
+      EXPECT_EQ(flat.second_largest, implicit.second_largest) << spec << " p=" << p;
+    }
+  }
+  const auto torus = sim::make_topology("torus:2:32");
+  std::uint64_t env_index = 0;
+  for (const double p : {0.55, 0.65, 0.8}) {
+    const HashEdgeSampler env(p, derive_seed(20050701, 1000 + env_index++));
+    Rng pair_rng(7);
+    for (int k = 0; k < 32; ++k) {
+      const VertexId u = uniform_below(pair_rng, torus->num_vertices());
+      const VertexId v = uniform_below(pair_rng, torus->num_vertices());
+      const ChemicalPathResult flat_path =
+          chemical_path(*torus, env, u, v, 0, AdjacencyMode::kFlat);
+      const ChemicalPathResult implicit_path =
+          chemical_path(*torus, env, u, v, 0, AdjacencyMode::kImplicit);
+      EXPECT_EQ(flat_path.distance, implicit_path.distance) << u << "->" << v << " p=" << p;
+      EXPECT_EQ(flat_path.path, implicit_path.path) << u << "->" << v << " p=" << p;
+    }
+  }
 }
 
 TEST(FlatAdjacencyPercolation, LargestClusterOrderMatchesAcrossBackends) {

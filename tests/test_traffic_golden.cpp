@@ -6,6 +6,9 @@
 //  * Scenario reports: `faultroute scenario` JSON-lines of every curated
 //    scenarios/*.scn, at --quick and full size, with the header's build
 //    `provenance` object removed, reproduced at scenario threads 1, 2 and 4.
+//    The --quick reports are also replayed with `adjacency = implicit` and
+//    with `frontier = permsg`: the alternate code paths must reproduce the
+//    same committed bytes as the flat, batched default.
 //  * Outcome digests: one FNV-1a digest per cell over every MessageOutcome
 //    field, at --quick size, with the runner's seeding (row-major cell index,
 //    trial fastest, derive_seed(seed, 2i) / (seed, 2i+1)), reproduced at
@@ -127,9 +130,13 @@ std::string strip_provenance(std::string line) {
   return line.erase(begin, end - begin);
 }
 
+/// The report of `stem`, after applying the spec `assignments` (scenario
+/// grammar, as `faultroute scenario --spec` takes them) on top of the file.
 std::vector<std::string> scenario_report(const std::string& stem, bool quick,
-                                         unsigned threads) {
+                                         unsigned threads,
+                                         const std::string& assignments = "") {
   scenario::ScenarioSpec spec = load_spec(stem, quick);
+  scenario::apply_scenario_assignments(spec, assignments);
   spec.threads = threads;
   std::ostringstream out;
   scenario::JsonLinesReporter reporter(out);
@@ -320,6 +327,27 @@ TEST(TrafficGolden, ScenarioReportsQuick) {
 
 TEST(TrafficGolden, ScenarioReportsFull) {
   for (const std::string& stem : kScenarioStems) check_scenario(stem, /*quick=*/false);
+}
+
+// Implicit adjacency: every neighbor, edge-key and edge-id query goes
+// through the virtual Topology interface (no CSR snapshot), and routing
+// falls back to one search per message.
+TEST(TrafficGolden, ImplicitAdjacencyReplaysQuickReports) {
+  for (const std::string& stem : kScenarioStems) {
+    expect_matches_golden(scenario_report(stem, /*quick=*/true, 1, "adjacency = implicit"),
+                          scenario_golden_path(stem, /*quick=*/true),
+                          stem + " --quick adjacency=implicit");
+  }
+}
+
+// Per-message frontier search on the flat path: no block executor, no
+// distance-oracle prewarm.
+TEST(TrafficGolden, PerMessageFrontierReplaysQuickReports) {
+  for (const std::string& stem : kScenarioStems) {
+    expect_matches_golden(scenario_report(stem, /*quick=*/true, 1, "frontier = permsg"),
+                          scenario_golden_path(stem, /*quick=*/true),
+                          stem + " --quick frontier=permsg");
+  }
 }
 
 TEST(TrafficGolden, OutcomeDigests) {
