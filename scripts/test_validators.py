@@ -39,27 +39,6 @@ def run_script(script, *argv):
         capture_output=True, text=True, check=False)
 
 
-def valid_frontier_report():
-    return {
-        "schema": "faultroute.bench.frontier.v1",
-        "schema_version": 1,
-        "quick": True,
-        "benchmarks": [{
-            "name": "debruijn_flood",
-            "cells": 6,
-            "messages": 4096,
-            "routed": 4001,
-            "delivered": 3999,
-            "total_distinct_probes": 90000,
-            "unique_edges_probed": 41000,
-            "batch_routing_ms": 8.0,
-            "permsg_routing_ms": 14.0,
-            "speedup": 1.75,
-            "identical": True,
-        }],
-    }
-
-
 def valid_snapshot_report():
     return {
         "schema": "faultroute.bench.snapshot.v1",
@@ -167,9 +146,6 @@ class ValidatorCase(unittest.TestCase):
 class BenchSchemaValidator(ValidatorCase):
     SCRIPT = "check_bench_schema.py"
 
-    def test_accepts_valid_frontier_report(self):
-        self.assert_accepts(self.SCRIPT, self.write_json("f.json", valid_frontier_report()))
-
     def test_accepts_valid_metrics_report(self):
         self.assert_accepts(self.SCRIPT, self.write_json("m.json", valid_metrics_report()))
 
@@ -195,32 +171,21 @@ class BenchSchemaValidator(ValidatorCase):
                             "negative time")
 
     def test_rejects_missing_field(self):
-        report = valid_frontier_report()
-        del report["benchmarks"][0]["permsg_routing_ms"]
-        self.assert_rejects(self.SCRIPT, self.write_json("f.json", report),
-                            "permsg_routing_ms")
-
-    def test_rejects_frontier_disagreement(self):
-        report = valid_frontier_report()
-        report["benchmarks"][0]["identical"] = False
-        self.assert_rejects(self.SCRIPT, self.write_json("f.json", report), "identical")
-
-    def test_rejects_delivered_exceeding_routed(self):
-        report = valid_frontier_report()
-        report["benchmarks"][0]["delivered"] = report["benchmarks"][0]["routed"] + 1
-        self.assert_rejects(self.SCRIPT, self.write_json("f.json", report),
-                            "delivered > routed")
+        report = valid_snapshot_report()
+        del report["benchmarks"][0]["open_ms"]
+        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report),
+                            "open_ms")
 
     def test_rejects_wrong_schema_version(self):
-        report = valid_frontier_report()
+        report = valid_snapshot_report()
         report["schema_version"] = 2
-        self.assert_rejects(self.SCRIPT, self.write_json("f.json", report),
+        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report),
                             "schema_version")
 
     def test_rejects_bool_masquerading_as_int(self):
-        report = valid_frontier_report()
-        report["benchmarks"][0]["messages"] = True
-        self.assert_rejects(self.SCRIPT, self.write_json("f.json", report), "messages")
+        report = valid_snapshot_report()
+        report["benchmarks"][0]["vertices"] = True
+        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report), "vertices")
 
     def test_rejects_metrics_without_provenance(self):
         report = valid_metrics_report()

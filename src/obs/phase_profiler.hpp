@@ -14,9 +14,9 @@ namespace faultroute::obs {
 
 /// Nested wall-clock phase timing with per-thread tracks.
 ///
-/// A PhaseProfiler generalizes the two-field TrafficPhaseTimings into
-/// arbitrarily nested RAII scopes: opening a `Scope` starts a span on the
-/// calling thread, destroying it records the span. Scopes nest — a scope
+/// The project's one wall-clock mechanism, as arbitrarily nested RAII
+/// scopes: opening a `Scope` starts a span on the calling thread,
+/// destroying it records the span. Scopes nest — a scope
 /// opened while another is live on the same thread becomes its child, and
 /// the recorded span path joins the open names with '/'
 /// ("cell-12/routing/route"). Each thread gets its own *track* (the trace

@@ -22,15 +22,13 @@ inline constexpr const char* kMetrics = "faultroute.metrics.v1";
 inline constexpr int kMetricsVersion = 1;
 
 /// Bench A/B records (committed as BENCH_*.json at the repo root).
-inline constexpr const char* kBenchAdjacency = "faultroute.bench.adjacency.v1";
-inline constexpr const char* kBenchFrontier = "faultroute.bench.frontier.v1";
 inline constexpr const char* kBenchSnapshot = "faultroute.bench.snapshot.v1";
 inline constexpr int kBenchVersion = 1;
 
 /// Scenario checkpoint journals (scenario/checkpoint.hpp): the header line
 /// of every --checkpoint file names this schema, then one line per
 /// completed cell. Versioned like the reports because resume parses it.
-inline constexpr const char* kCheckpoint = "faultroute.checkpoint.v1";
-inline constexpr int kCheckpointVersion = 1;
+inline constexpr const char* kCheckpoint = "faultroute.checkpoint.v2";
+inline constexpr int kCheckpointVersion = 2;
 
 }  // namespace faultroute::obs::schemas

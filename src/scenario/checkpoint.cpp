@@ -97,12 +97,6 @@ double parse_f64(const std::string& field) {
   return value;
 }
 
-bool parse_bool(const std::string& field) {
-  if (field == "0") return false;
-  if (field == "1") return true;
-  bad_line("expected 0 or 1, got '" + field + "'");
-}
-
 /// The journal's header line for `spec` — schema tag, spec fingerprint,
 /// and cell count. Byte-compared on resume.
 std::string header_line(const ScenarioSpec& spec) {
@@ -173,9 +167,6 @@ std::string encode_checkpoint_cell(const CellResult& cell) {
   put(fmt_u64(cell.transmissions));
   put(fmt_u64(cell.peak_active_channels));
   put(fmt_u64(cell.channels));
-  put(cell.has_timings ? "1" : "0");
-  put(fmt_f64(cell.routing_ms));
-  put(fmt_f64(cell.delivery_ms));
   return line;
 }
 
@@ -192,7 +183,7 @@ CellResult decode_checkpoint_cell(const std::string& line) {
     parts.push_back(line.substr(pos, tab - pos));
     pos = tab + 1;
   }
-  constexpr std::size_t kFields = 39;  // "cell" tag + 38 CellResult fields
+  constexpr std::size_t kFields = 36;  // "cell" tag + 35 CellResult fields
   if (parts.size() != kFields) {
     bad_line("expected " + std::to_string(kFields) + " tab-separated fields, got " +
              std::to_string(parts.size()));
@@ -236,9 +227,6 @@ CellResult decode_checkpoint_cell(const std::string& line) {
   cell.transmissions = parse_u64(parts[i++]);
   cell.peak_active_channels = parse_u64(parts[i++]);
   cell.channels = parse_u64(parts[i++]);
-  cell.has_timings = parse_bool(parts[i++]);
-  cell.routing_ms = parse_f64(parts[i++]);
-  cell.delivery_ms = parse_f64(parts[i++]);
   return cell;
 }
 
@@ -271,6 +259,14 @@ CheckpointJournal::CheckpointJournal(std::string path, const ScenarioSpec& spec)
       const std::string line = text.substr(pos, nl - pos);
       ++lineno;
       if (lineno == 1) {
+        // A journal of another format version cannot be decoded; say so
+        // before comparing fingerprints, which would blame the spec.
+        const std::string schema = line.substr(0, line.find('\t'));
+        if (schema != obs::schemas::kCheckpoint) {
+          throw std::runtime_error("checkpoint '" + path_ + "': journal schema is '" + schema +
+                                   "', this build reads '" + obs::schemas::kCheckpoint +
+                                   "' — refusing to resume (delete the journal to rerun)");
+        }
         if (line != header) {
           throw std::runtime_error(
               "checkpoint '" + path_ + "': journal belongs to a different spec — refusing " +

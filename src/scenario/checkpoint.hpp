@@ -20,8 +20,11 @@ namespace faultroute::scenario {
 /// and replayed verbatim. The journal (`--checkpoint PATH`) is an
 /// append-only text file:
 ///
-///   faultroute.checkpoint.v1<TAB>fingerprint=<16 hex><TAB>cells=<N>
+///   faultroute.checkpoint.v2<TAB>fingerprint=<16 hex><TAB>cells=<N>
 ///   cell<TAB><field 1><TAB><field 2>...        (one line per finished cell)
+///
+/// A journal written under another schema version is refused with a
+/// diagnostic naming both schema strings.
 ///
 /// The header fingerprint hashes exactly the result-determining spec fields
 /// (axes, messages, trials, seed, capacity, budget, max_steps) — and *not*
@@ -53,8 +56,8 @@ namespace faultroute::scenario {
 class CheckpointJournal {
  public:
   /// Opens (creating if absent) the journal at `path` for `spec`. Loads
-  /// every completed cell; throws std::runtime_error on a fingerprint or
-  /// cell-count mismatch, on corruption anywhere but a torn final line, or
+  /// every completed cell; throws std::runtime_error on a schema,
+  /// fingerprint or cell-count mismatch, on corruption anywhere but a torn final line, or
   /// if the file cannot be opened for append.
   CheckpointJournal(std::string path, const ScenarioSpec& spec);
 

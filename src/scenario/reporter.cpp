@@ -125,12 +125,7 @@ void JsonLinesReporter::report(const CellResult& cell) {
        << ",\"admission_events\":" << cell.admission_events
        << ",\"transmissions\":" << cell.transmissions
        << ",\"peak_active_channels\":" << cell.peak_active_channels
-       << ",\"channels\":" << cell.channels;
-  if (cell.has_timings) {
-    out_ << ",\"routing_ms\":" << json_num(cell.routing_ms)
-         << ",\"delivery_ms\":" << json_num(cell.delivery_ms);
-  }
-  out_ << "}\n";
+       << ",\"channels\":" << cell.channels << "}\n";
   ++cells_reported_;
 }
 

@@ -63,13 +63,6 @@ struct CellResult {
   std::uint64_t transmissions = 0;
   std::uint64_t peak_active_channels = 0;
   std::uint64_t channels = 0;
-
-  // Per-cell wall-clock phase timings, emitted only when has_timings (the
-  // scenario --cell-timings opt-in, JSONL only). Opt-in because wall clock
-  // breaks the byte-identical-rerun property every other field keeps.
-  bool has_timings = false;
-  double routing_ms = 0.0;
-  double delivery_ms = 0.0;
 };
 
 /// Sink for scenario results. The runner guarantees the call order

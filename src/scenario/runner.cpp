@@ -168,8 +168,6 @@ RunSummary run_scenario(const ScenarioSpec& spec, Reporter& reporter,
       config.flat_snapshot = snapshots[coords.topology].get();
       config.metrics = options.metrics;  // counters merge across cells; the
                                          // registry shards per worker thread
-      TrafficPhaseTimings timings;
-      if (options.cell_timings) config.timings = &timings;
       const HashEdgeSampler environment(cell.p, cell.env_seed);
       const auto factory = [&]() { return sim::make_router(cell.router, topology); };
       const TrafficResult traffic =
@@ -200,11 +198,6 @@ RunSummary run_scenario(const ScenarioSpec& spec, Reporter& reporter,
       cell.transmissions = traffic.transmissions;
       cell.peak_active_channels = traffic.peak_active_channels;
       cell.channels = traffic.channels;
-      if (options.cell_timings) {
-        cell.has_timings = true;
-        cell.routing_ms = timings.routing_ms;
-        cell.delivery_ms = timings.delivery_ms;
-      }
       if (options.metrics != nullptr) {
         obs::CounterRegistry& counters = options.metrics->counters();
         counters.add(counters.id("scenario.cells"), 1);

@@ -112,7 +112,7 @@ std::vector<RoutedJourney> route_and_validate(
           ? nullptr
           : (config.flat_snapshot != nullptr
                  ? config.flat_snapshot
-                 : resolve_adjacency(graph, config.adjacency, config.flat_budget_vertices));
+                 : resolve_adjacency(graph, config.adjacency));
   const AdjacencyView adj(graph, flat);
 
   std::optional<SharedProbeCache> cache;
@@ -184,8 +184,7 @@ std::vector<RoutedJourney> route_and_validate(
     // Validate before counting as routed, so the exact partition
     // routed + failed + censored + invalid == messages holds.
     Path& path = paths[i];
-    if (config.verify_paths &&
-        !is_valid_open_path(adj, sampler, path, out.message.source, out.message.target)) {
+    if (!is_valid_open_path(adj, sampler, path, out.message.source, out.message.target)) {
       ++result.invalid_paths;
       out.routed = false;
       out.path_edges = 0;  // the rejected path's hop count must not leak out
@@ -196,7 +195,7 @@ std::vector<RoutedJourney> route_and_validate(
     bool ok = true;
     for (std::size_t step = 0; step + 1 < path.size(); ++step) {
       const int idx = adj.edge_index_of(path[step], path[step + 1]);
-      if (idx < 0) {  // unreachable when verify_paths is on; defensive otherwise
+      if (idx < 0) {  // unreachable: the path was just validated hop by hop
         ok = false;
         break;
       }

@@ -18,8 +18,8 @@ struct RoutedJourney {
 
 /// Phase 1 of run_traffic.
 ///
-/// Routes every message (thread-parallel, deterministic), verifies paths when
-/// config.verify_paths is on, resolves every hop's incident slot, and fills
+/// Routes every message (thread-parallel, deterministic), verifies every
+/// path against the environment, resolves every hop's incident slot, and fills
 /// the routing side of `result`: outcomes (message/routed/censored/
 /// distinct_probes/path_edges), routed/failed_routing/censored/invalid_paths,
 /// total_distinct_probes, and unique_edges_probed. `result.outcomes` must

@@ -24,7 +24,8 @@ class RunMetrics;
 /// How the routing phase schedules per-message searches. A pure A/B switch
 /// in the mould of AdjacencyMode: every outcome,
 /// aggregate, and counter is bit-identical across modes (held by
-/// tests/test_frontier_search.cpp and the bench_frontier cross-check).
+/// tests/test_frontier_search.cpp and the golden replays in
+/// tests/test_traffic_golden.cpp).
 enum class FrontierMode {
   /// Batched frontier search (the fast default): flood and bidirectional
   /// messages run through the block executor in src/traffic/frontier_search
@@ -42,14 +43,6 @@ enum class FrontierMode {
 /// inverse of frontier_mode_name.
 [[nodiscard]] FrontierMode parse_frontier_mode(const std::string& name);
 [[nodiscard]] std::string frontier_mode_name(FrontierMode mode);
-
-/// Optional wall-clock instrumentation of a traffic run (see
-/// TrafficConfig::timings). Purely observational: simulation results are
-/// byte-identical whether or not timings are collected.
-struct TrafficPhaseTimings {
-  double routing_ms = 0.0;   ///< phase 1: routing + validation + journey compilation
-  double delivery_ms = 0.0;  ///< phase 2: delivery simulation + aggregation
-};
 
 /// Configuration of a traffic run.
 struct TrafficConfig {
@@ -71,20 +64,18 @@ struct TrafficConfig {
   /// kFlat resolves every neighbor / edge-key / edge-id query through the
   /// topology's CSR snapshot (Topology::flat_adjacency()), kImplicit through
   /// the virtual interface, kAuto picks flat iff num_vertices() fits
-  /// `flat_budget_vertices`. Outcomes and counters are bit-identical across
-  /// modes (tests/test_flat_adjacency.cpp); flat is faster
-  /// (bench/bench_adjacency.cpp) and implicit needs no per-graph memory,
-  /// so leave it on auto.
+  /// kDefaultFlatBudgetVertices (~20 bytes per directed channel once,
+  /// cached). Outcomes and counters are bit-identical across modes
+  /// (tests/test_flat_adjacency.cpp and the golden replays in
+  /// tests/test_traffic_golden.cpp); flat is faster and implicit needs no
+  /// per-graph memory, so leave it on auto.
   AdjacencyMode adjacency = AdjacencyMode::kAuto;
-  /// kAuto's materialization budget: snapshot topologies with at most this
-  /// many vertices (~20 bytes per directed channel once, cached).
-  std::uint64_t flat_budget_vertices = kDefaultFlatBudgetVertices;
   /// When non-null, the routing phase resolves flat-adjacency queries
   /// through this externally provided snapshot — typically a memory-mapped
   /// view opened from a snapshot directory (graph/snapshot.hpp /
   /// open_snapshot_adjacency) — instead of materializing one via
   /// resolve_adjacency. Honoured for every adjacency mode except kImplicit,
-  /// *including* kAuto above flat_budget_vertices: a mapped view costs no
+  /// *including* kAuto above the vertex budget: a mapped view costs no
   /// build, so the materialization budget does not apply and huge graphs
   /// keep the CSR fast path. Must describe the same topology (bit-identical
   /// results are pinned by tests/test_snapshot.cpp) and outlive the run.
@@ -94,18 +85,11 @@ struct TrafficConfig {
   /// only engages on the flat adjacency path; implicit runs fall back to
   /// per-message search regardless.
   FrontierMode frontier = FrontierMode::kBatch;
-  /// Verify every returned path against the environment; invalid paths are
-  /// counted and the message dropped from the delivery simulation.
-  bool verify_paths = true;
   /// Safety cap on simulated timesteps (0 = unbounded). With capacity >= 1
   /// every queued message eventually drains, so the cap only guards against
   /// pathological configs; messages still in flight when it is hit are
   /// counted as `stranded`.
   std::uint64_t max_steps = 0;
-  /// When non-null, the engine records wall-clock phase durations here
-  /// (scenario --cell-timings and bench instrumentation). The pointee must
-  /// outlive the run_traffic call. Never affects simulation results.
-  TrafficPhaseTimings* timings = nullptr;
   /// When non-null, the run feeds the observability sink (src/obs/): counters
   /// for every phase, nested phase spans on the profiler, and — if its
   /// delivery sampler is enabled — a per-step delivery time-series. The

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/schemas.hpp"
 #include "scenario/checkpoint.hpp"
 #include "scenario/merge.hpp"
 #include "scenario/reporter.hpp"
@@ -103,9 +104,6 @@ TEST(CheckpointCodec, RoundTripsEveryFieldExactly) {
   cell.transmissions = 62;
   cell.peak_active_channels = 63;
   cell.channels = 64;
-  cell.has_timings = true;
-  cell.routing_ms = 12.5;
-  cell.delivery_ms = 0.0001;
 
   const CellResult back = decode_checkpoint_cell(encode_checkpoint_cell(cell));
   EXPECT_EQ(back.cell, cell.cell);
@@ -144,9 +142,6 @@ TEST(CheckpointCodec, RoundTripsEveryFieldExactly) {
   EXPECT_EQ(back.transmissions, cell.transmissions);
   EXPECT_EQ(back.peak_active_channels, cell.peak_active_channels);
   EXPECT_EQ(back.channels, cell.channels);
-  EXPECT_EQ(back.has_timings, cell.has_timings);
-  EXPECT_EQ(back.routing_ms, cell.routing_ms);
-  EXPECT_EQ(back.delivery_ms, cell.delivery_ms);
 }
 
 TEST(CheckpointCodec, RejectsMalformedLines) {
@@ -267,6 +262,29 @@ TEST(CheckpointResume, RefusesAJournalOfADifferentSpec) {
   reseeded.seed += 1;
   EXPECT_THROW(CheckpointJournal(journal.string(), reseeded), std::runtime_error);
   EXPECT_THROW((void)run_report(reseeded, options), std::runtime_error);
+
+  // The same sweep journaled by a build that wrote faultroute.checkpoint.v1
+  // (three more fields per cell line) is refused by name, and left as it
+  // was: never re-run over, truncated, or decoded as v2 cells.
+  const std::string v2 = read_file(journal);
+  const std::string v2_schema = obs::schemas::kCheckpoint;
+  const std::string v1_schema = v2_schema.substr(0, v2_schema.rfind(".v")) + ".v1";
+  ASSERT_EQ(v2.rfind(v2_schema + "\t", 0), 0u);
+  const std::size_t header_end = v2.find('\n');
+  std::string v1 = v1_schema + v2.substr(v2_schema.size(), header_end - v2_schema.size());
+  std::istringstream lines(v2.substr(header_end + 1));
+  for (std::string line; std::getline(lines, line);) v1 += "\n" + line + "\t0\t0x0p+0\t0x0p+0";
+  v1 += "\n";
+  write_file(journal, v1);
+  try {
+    const CheckpointJournal refused(journal.string(), spec);
+    ADD_FAILURE() << "a v1 journal was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + v1_schema + "'"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("'" + v2_schema + "'"), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)run_report(spec, options), std::runtime_error);
+  EXPECT_EQ(read_file(journal), v1);
 }
 
 TEST(CheckpointResume, MidFileCorruptionThrowsInsteadOfResuming) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -281,43 +282,6 @@ TEST(TrafficCacheCounters, AppearInTheReportTable) {
   EXPECT_NE(table.find("probe cache misses"), std::string::npos);
 }
 
-// ------------------------------------- TrafficPhaseTimings (satellite 2)
-
-TEST(TrafficPhaseTimings, PopulatesBothPhases) {
-  const TrafficFixture fx;
-  TrafficPhaseTimings timings;
-  timings.routing_ms = -1.0;   // sentinels: the engine must overwrite, not
-  timings.delivery_ms = -1.0;  // accumulate into, a reused struct
-  TrafficConfig config;
-  config.timings = &timings;
-  const auto result =
-      run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages, config);
-  EXPECT_GT(result.delivered, 0u);
-  EXPECT_GE(timings.routing_ms, 0.0);
-  EXPECT_GE(timings.delivery_ms, 0.0);
-}
-
-TEST(TrafficPhaseTimings, ReuseOverwritesRatherThanAccumulates) {
-  const TrafficFixture fx;
-  TrafficPhaseTimings timings;
-  TrafficConfig config;
-  config.timings = &timings;
-  (void)run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages, config);
-  const double first_routing = timings.routing_ms;
-  const double first_delivery = timings.delivery_ms;
-  // A second run through the same struct reports that run alone. Timings are
-  // wall-clock so we can't demand equality — but an accumulating bug doubles
-  // them, and each run's phases are bounded by the run's total, so a
-  // generous factor separates the two behaviours without flaking.
-  for (int i = 0; i < 8; ++i) {
-    (void)run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages, config);
-  }
-  EXPECT_LT(timings.routing_ms, 8 * (first_routing + first_delivery) + 1000.0);
-  EXPECT_GE(timings.routing_ms, 0.0);
-  EXPECT_GE(timings.delivery_ms, 0.0);
-  (void)first_delivery;
-}
-
 // ---------------------------------- instrumentation-off golden (tentpole)
 
 TEST(ObservabilityGolden, MetricsAttachmentNeverChangesTrafficResults) {
@@ -331,8 +295,6 @@ TEST(ObservabilityGolden, MetricsAttachmentNeverChangesTrafficResults) {
   metrics.enable_delivery_sampler(64);
   TrafficConfig instrumented = bare;
   instrumented.metrics = &metrics;
-  TrafficPhaseTimings timings;
-  instrumented.timings = &timings;
   const auto on = run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages,
                               instrumented);
 
@@ -369,22 +331,29 @@ TEST(ObservabilityGolden, ScenarioReportIsByteIdenticalWithMetricsAttached) {
             spec.num_cells());
 }
 
-TEST(ObservabilityGolden, CellTimingsAreOptInAndJsonlOnly) {
-  const auto spec = scenario::parse_scenario("topology = hypercube:6; messages = 32");
-
-  std::ostringstream plain_out;
-  scenario::JsonLinesReporter plain_reporter(plain_out);
-  (void)scenario::run_scenario(spec, plain_reporter);
-  EXPECT_EQ(plain_out.str().find("routing_ms"), std::string::npos)
+// Per-cell phase times live in the --metrics profiler, never in the report:
+// every cell gets routing / compile / delivery / aggregate spans under its
+// cell-<i> scope, while report bytes stay free of wall clock.
+TEST(ObservabilityGolden, PerCellPhaseTimesAreMetricsSpansNotReportFields) {
+  const auto spec = scenario::parse_scenario(
+      "topology = hypercube:6; p = 0.4, 0.6; messages = 32; threads = 1");
+  RunMetrics metrics;
+  scenario::RunOptions options;
+  options.metrics = &metrics;
+  std::ostringstream out;
+  scenario::JsonLinesReporter reporter(out);
+  (void)scenario::run_scenario(spec, reporter, options);
+  EXPECT_EQ(out.str().find("_ms\""), std::string::npos)
       << "wall-clock fields would break the byte-identical rerun contract";
 
-  scenario::RunOptions options;
-  options.cell_timings = true;
-  std::ostringstream timed_out;
-  scenario::JsonLinesReporter timed_reporter(timed_out);
-  (void)scenario::run_scenario(spec, timed_reporter, options);
-  EXPECT_NE(timed_out.str().find("\"routing_ms\":"), std::string::npos);
-  EXPECT_NE(timed_out.str().find("\"delivery_ms\":"), std::string::npos);
+  std::set<std::string> paths;
+  for (const auto& stat : metrics.profiler().aggregate()) paths.insert(stat.path);
+  for (std::uint64_t cell = 0; cell < spec.num_cells(); ++cell) {
+    for (const char* phase : {"routing", "compile", "delivery", "aggregate"}) {
+      const std::string path = "scenario/cell-" + std::to_string(cell) + "/" + phase;
+      EXPECT_EQ(paths.count(path), 1U) << path;
+    }
+  }
 }
 
 // --------------------------------------------------- serialization smoke

@@ -44,6 +44,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -75,13 +76,45 @@ namespace {
 
 using namespace faultroute;
 
-/// Minimal --key value / --key=value parser.
+/// Every flag each subcommand reads (without the leading "--"). Args
+/// rejects any other flag by name, so a typo or a retired flag fails the
+/// run instead of being silently ignored.
+const std::map<std::string, std::set<std::string>>& subcommand_flags() {
+  static const std::map<std::string, std::set<std::string>> flags = {
+      {"route", {"topology", "p", "router", "seed", "from", "to", "metrics", "trace"}},
+      {"components", {"topology", "p", "seed", "adjacency", "metrics", "trace"}},
+      {"threshold",
+       {"topology", "target", "trials", "tolerance", "seed", "lo", "hi", "adjacency",
+        "metrics", "trace"}},
+      {"trials",
+       {"topology", "p", "router", "from", "to", "trials", "seed", "budget", "threads",
+        "metrics", "trace"}},
+      {"permutation",
+       {"topology", "p", "router", "seed", "pairs", "pair-seed", "budget", "adjacency",
+        "metrics", "trace"}},
+      {"traffic",
+       {"topology", "p", "router", "seed", "workload", "messages", "workload-seed", "target",
+        "rate", "capacity", "threads", "budget", "shared-cache", "adjacency", "frontier",
+        "snapshot-dir", "metrics", "trace", "trace-samples"}},
+      {"scenario",
+       {"spec", "seed", "snapshot-dir", "threads", "quick", "format", "out", "checkpoint",
+        "shard", "metrics", "trace"}},
+      {"snapshot", {"topology", "dir", "file"}},
+      {"merge", {"out"}},
+  };
+  return flags;
+}
+
+/// Minimal --key value / --key=value parser over one subcommand's flags.
 class Args {
  public:
   /// Same cap as the scenario grammar's `threads` key.
   static constexpr std::uint64_t kMaxThreads = 4096;
 
-  Args(int argc, char** argv, int first) {
+  /// Parses argv[first..]; throws std::invalid_argument naming the first
+  /// flag that is not in `known`.
+  Args(int argc, char** argv, int first, const std::set<std::string>& known)
+      : known_(&known) {
     for (int i = first; i < argc; ++i) {
       std::string token = argv[i];
       if (token.rfind("--", 0) != 0) {
@@ -97,21 +130,28 @@ class Args {
         values_[token] = "true";
       }
     }
+    for (const auto& entry : values_) {
+      if (known.count(entry.first) != 0) continue;
+      std::string accepted;
+      for (const std::string& flag : known) accepted += " --" + flag;
+      throw std::invalid_argument("unknown flag --" + entry.first + " (accepted:" + accepted +
+                                  ")");
+    }
   }
 
   [[nodiscard]] std::string get(const std::string& key, const std::string& fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     return it != values_.end() ? it->second : fallback;
   }
   [[nodiscard]] std::string require(const std::string& key) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) throw std::invalid_argument("missing required --" + key);
     return it->second;
   }
   // Numeric flags parse strictly (sim/strict_parse.hpp): the whole token
   // must be the number, so "1x", "abc" and "-1" are errors naming the flag.
   [[nodiscard]] double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) return fallback;
     const auto value = sim::strict_f64(it->second);
     if (!value) {
@@ -120,7 +160,7 @@ class Args {
     return *value;
   }
   [[nodiscard]] std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = values_.find(key);
+    const auto it = find(key);
     if (it == values_.end()) return fallback;
     const auto value = sim::strict_u64(it->second);
     if (!value) {
@@ -162,7 +202,19 @@ class Args {
   }
 
  private:
-  std::map<std::string, std::string> values_;
+  using Values = std::map<std::string, std::string>;
+
+  /// Lookup of a flag the subcommand reads; reading an undeclared flag is a
+  /// bug in subcommand_flags(), not a user error.
+  [[nodiscard]] Values::const_iterator find(const std::string& key) const {
+    if (known_->count(key) == 0) {
+      throw std::logic_error("flag --" + key + " is read but not declared");
+    }
+    return values_.find(key);
+  }
+
+  const std::set<std::string>* known_;
+  Values values_;
 };
 
 /// Shared --adjacency flag: CSR-snapshot vs implicit-virtual adjacency
@@ -527,12 +579,6 @@ int cmd_scenario(const std::string& file, const Args& args) {
   ObsSink sink(args, "scenario");
   scenario::RunOptions options;
   options.metrics = sink.metrics();
-  const std::string cell_timings = args.get("cell-timings", "false");
-  if (cell_timings != "true" && cell_timings != "false") {
-    throw std::invalid_argument("--cell-timings must be 'true' or 'false', got '" +
-                                cell_timings + "'");
-  }
-  options.cell_timings = cell_timings == "true";
   // --checkpoint PATH: journal completed cells; a rerun against the same
   // journal resumes and still emits the byte-identical report.
   options.checkpoint_path = args.get("checkpoint", "");
@@ -681,15 +727,14 @@ void print_usage() {
             << "                     on-disk snapshot; also on scenario)\n"
             << "scenario:          faultroute scenario FILE.scn [--spec \"k=v; ...\"]\n"
             << "                   [--format jsonl|csv] [--out PATH] [--quick]\n"
-            << "                   [--cell-timings true|false] [--snapshot-dir DIR]\n"
-            << "                   [--checkpoint PATH] [--shard K/N]\n"
+            << "                   [--snapshot-dir DIR] [--checkpoint PATH] [--shard K/N]\n"
             << "snapshot:          faultroute snapshot build --topology SPEC --dir DIR\n"
             << "                   faultroute snapshot info --file PATH (or --dir/--topology)\n"
             << "merge:             faultroute merge SHARD.jsonl... [--out PATH]\n"
             << "observability:     --metrics PATH (" << obs::schemas::kMetrics << " JSON) and\n"
             << "                   --trace PATH (Chrome trace-event JSON, for\n"
-            << "                   chrome://tracing / Perfetto) on every subcommand;\n"
-            << "                   traffic also takes --trace-samples N\n"
+            << "                   chrome://tracing / Perfetto) on every subcommand but\n"
+            << "                   snapshot and merge; traffic also takes --trace-samples N\n"
             << "\nfull reference: docs/CLI.md; scenario grammar: docs/SCENARIOS.md\n";
 }
 
@@ -701,6 +746,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string command = argv[1];
+  const auto flags = subcommand_flags().find(command);
+  if (flags == subcommand_flags().end()) {
+    print_usage();
+    return 2;
+  }
+  const std::set<std::string>& known = flags->second;
   try {
     if (command == "scenario") {
       // Optional positional spec-file argument before the --flags.
@@ -710,14 +761,14 @@ int main(int argc, char** argv) {
         file = argv[2];
         first_flag = 3;
       }
-      return cmd_scenario(file, Args(argc, argv, first_flag));
+      return cmd_scenario(file, Args(argc, argv, first_flag, known));
     }
     if (command == "snapshot") {
       // Positional action (build | info) before the --flags.
       if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
         throw std::invalid_argument("snapshot needs an action: build or info");
       }
-      return cmd_snapshot(argv[2], Args(argc, argv, 3));
+      return cmd_snapshot(argv[2], Args(argc, argv, 3, known));
     }
     if (command == "merge") {
       // Positional shard-report files interleaved with --flags.
@@ -736,17 +787,16 @@ int main(int argc, char** argv) {
           inputs.push_back(token);
         }
       }
-      return cmd_merge(inputs, Args(static_cast<int>(flag_argv.size()), flag_argv.data(), 2));
+      return cmd_merge(inputs,
+                       Args(static_cast<int>(flag_argv.size()), flag_argv.data(), 2, known));
     }
-    const Args args(argc, argv, 2);
+    const Args args(argc, argv, 2, known);
     if (command == "route") return cmd_route(args);
     if (command == "components") return cmd_components(args);
     if (command == "threshold") return cmd_threshold(args);
     if (command == "trials") return cmd_trials(args);
     if (command == "permutation") return cmd_permutation(args);
-    if (command == "traffic") return cmd_traffic(args);
-    print_usage();
-    return 2;
+    return cmd_traffic(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "faultroute %s: %s\n", command.c_str(), e.what());
     return 1;
