@@ -1,8 +1,5 @@
 #include "core/probe_context.hpp"
 
-#include <algorithm>
-#include <limits>
-
 #include "graph/channel_index.hpp"
 #include "graph/distance_oracle.hpp"
 #include "graph/flat_adjacency.hpp"
@@ -15,24 +12,13 @@ void ProbeArena::begin_message(const Topology& graph) {
   // one lived would alias such a cache (dangling index, wrongly-sized
   // arrays). channel_index() is one call_once fast path — nothing against
   // the cost of routing a message. Arrays only ever grow; slots stamped by
-  // a previous topology are harmless because their stamps are strictly
-  // below the post-increment epoch.
+  // a previous topology are harmless because a fresh epoch invalidates them.
   channels_ = &graph.channel_index();
-  if (edge_epoch_.size() < channels_->num_edge_ids()) {
-    edge_epoch_.resize(channels_->num_edge_ids(), 0);  // analyze:allow-hot-alloc(grow-only arena warm-up, reused across messages)
-    edge_open_.resize(channels_->num_edge_ids(), 0);  // analyze:allow-hot-alloc(same grow-only warm-up)
+  edge_stamps_.begin(channels_->num_edge_ids());
+  if (edge_open_.size() < channels_->num_edge_ids()) {
+    edge_open_.resize(channels_->num_edge_ids(), 0);  // analyze:allow-hot-alloc(grow-only arena warm-up, reused across messages)
   }
-  if (vertex_epoch_.size() < graph.num_vertices()) {
-    vertex_epoch_.resize(graph.num_vertices(), 0);  // analyze:allow-hot-alloc(same grow-only warm-up)
-  }
-  if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    // Epoch wrap: stamps from ~4 billion messages ago would read as live.
-    // Zero everything and restart — amortised cost is a rounding error.
-    std::fill(edge_epoch_.begin(), edge_epoch_.end(), 0u);
-    std::fill(vertex_epoch_.begin(), vertex_epoch_.end(), 0u);
-    epoch_ = 0;
-  }
-  ++epoch_;
+  reached_stamps_.begin(graph.num_vertices());
 }
 
 ProbeContext::ProbeContext(const Topology& graph, const EdgeSampler& sampler,
@@ -49,13 +35,13 @@ ProbeContext::ProbeContext(const Topology& graph, const EdgeSampler& sampler,
 }
 
 bool ProbeContext::reached_contains(VertexId v) const {
-  if (arena_ != nullptr) return arena_->vertex_epoch_[v] == arena_->epoch_;
+  if (arena_ != nullptr) return arena_->reached_stamps_.live(v);
   return reached_.contains(v);
 }
 
 void ProbeContext::reached_insert(VertexId v) {
   if (arena_ != nullptr) {
-    arena_->vertex_epoch_[v] = arena_->epoch_;
+    arena_->reached_stamps_.stamp(v);
   } else {
     reached_.insert(v);  // analyze:allow-hot-alloc(hash-backend reached set: the no-arena A/B baseline)
   }
@@ -116,14 +102,14 @@ bool ProbeContext::probe_with(const Access& access, VertexId v, int i) {
     // with this message's epoch. A hit touches one cache line and computes
     // no edge key; only a fresh probe asks the sampler.
     const std::uint32_t edge = access.edge_id(v, i);
-    if (arena_->edge_epoch_[edge] == arena_->epoch_) {
+    if (arena_->edge_stamps_.live(edge)) {
       open = arena_->edge_open_[edge] != 0;
     } else {
       if (budget_ && distinct_probes_ >= *budget_) {
         throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
       }
       open = sampler_.is_open_indexed(edge, access.edge_key(v, i));
-      arena_->edge_epoch_[edge] = arena_->epoch_;
+      arena_->edge_stamps_.stamp(edge);
       arena_->edge_open_[edge] = open ? 1 : 0;
       ++distinct_probes_;
     }

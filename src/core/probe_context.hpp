@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "graph/epoch_stamps.hpp"
 #include "graph/topology.hpp"
 #include "percolation/edge_sampler.hpp"
 
@@ -63,16 +64,14 @@ class ProbeArena {
  private:
   friend class ProbeContext;
 
-  /// Sizes the arrays for `graph` (grow-only) and starts a fresh epoch. On
-  /// the (once per ~4 billion messages) epoch wrap, every stamp array is
-  /// zero-filled so stale stamps can never collide.
+  /// Sizes the arrays for `graph` (grow-only) and starts a fresh epoch in
+  /// both stamp tables.
   void begin_message(const Topology& graph);
 
   const ChannelIndex* channels_ = nullptr;
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> edge_epoch_;    // per undirected edge id
-  std::vector<std::uint8_t> edge_open_;      // valid iff edge_epoch_ == epoch_
-  std::vector<std::uint32_t> vertex_epoch_;  // reached iff == epoch_ (kLocal)
+  EpochStamps edge_stamps_;              // per undirected edge id
+  std::vector<std::uint8_t> edge_open_;  // valid iff edge_stamps_.live(edge)
+  EpochStamps reached_stamps_;           // per vertex: reached iff live (kLocal)
 };
 
 /// The probing interface a routing algorithm sees, and the referee that

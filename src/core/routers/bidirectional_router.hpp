@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "core/router.hpp"
-#include "core/routers/router_marks.hpp"
+#include "graph/bfs.hpp"
 
 namespace faultroute {
 
@@ -24,7 +24,7 @@ class BidirectionalBfsRouter : public Router {
  private:
   // Per-side search state, pooled across a worker's messages (dense on the
   // flat adjacency path, hash on the implicit path; bit-identical results —
-  // see core/routers/router_marks.hpp).
+  // see graph/bfs.hpp).
   DenseMarks dense_parent_u_;
   DenseMarks dense_parent_v_;
   HashMarks hash_parent_u_;

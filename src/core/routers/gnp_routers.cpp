@@ -1,10 +1,10 @@
 #include "core/routers/gnp_routers.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <stdexcept>
 #include <vector>
 
+#include "graph/bfs.hpp"
 #include "graph/complete.hpp"
 
 // analyze:allow-file-hot-alloc(complete-graph cross-scan routers size per-search state once per message; no batched executor exists for this family)
@@ -60,21 +60,11 @@ std::optional<Path> GnpOracleRouter::route(ProbeContext& ctx, VertexId u, Vertex
   std::size_t grow_next_u = 0;  // round-robin position within members_u
   std::size_t grow_next_v = 0;
 
-  const auto chain = [&parent](VertexId from) {
-    Path path;
-    for (VertexId x = from;; x = parent[x]) {
-      path.push_back(x);
-      if (parent[x] == x) break;
-    }
-    return path;  // from .. root
-  };
-  const auto build_path = [&](VertexId a, VertexId b) {
+  const auto build_path = [&parent](VertexId a, VertexId b) {
     // a in U, b in V, open edge a-b.
-    Path left = chain(a);  // a .. u
-    std::reverse(left.begin(), left.end());
-    const Path right = chain(b);  // b .. v
-    Path full = std::move(left);
-    full.insert(full.end(), right.begin(), right.end());
+    Path full = path_from_parents(parent, a);         // u .. a
+    const Path right = path_from_parents(parent, b);  // v .. b
+    full.insert(full.end(), right.rbegin(), right.rend());
     return full;
   };
 

@@ -59,15 +59,7 @@ std::optional<Path> best_first_search(ProbeContext& ctx, const AdjacencyView& ad
       if (parent.contains(y)) continue;
       if (!ctx.probe(x, i)) continue;
       parent.emplace(y, x);
-      if (y == v) {
-        Path path;
-        for (VertexId z = v;; z = parent.at(z)) {
-          path.push_back(z);
-          if (z == u) break;
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
+      if (y == v) return path_from_parents(parent, v);
       frontier.emplace(metric_distance(graph, col, y, v), y);
     }
   }

@@ -1,7 +1,7 @@
 #pragma once
 
 #include "core/router.hpp"
-#include "core/routers/router_marks.hpp"
+#include "graph/bfs.hpp"
 
 namespace faultroute {
 
@@ -36,7 +36,7 @@ class BestFirstRouter : public Router {
  private:
   // Search state pooled across a worker's messages (dense on the flat
   // adjacency path, hash on the implicit path; bit-identical results — see
-  // core/routers/router_marks.hpp).
+  // graph/bfs.hpp).
   DenseMarks dense_parent_;
   DenseMarks dense_expanded_;
   HashMarks hash_parent_;

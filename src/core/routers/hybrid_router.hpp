@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "core/router.hpp"
-#include "core/routers/router_marks.hpp"
+#include "graph/bfs.hpp"
 
 namespace faultroute {
 
@@ -29,7 +29,7 @@ class HybridGreedyRouter : public Router {
  private:
   // Repair-phase search state, pooled across a worker's messages (dense on
   // the flat adjacency path, hash on the implicit path; bit-identical
-  // results — see core/routers/router_marks.hpp).
+  // results — see graph/bfs.hpp).
   DenseMarks dense_pos_;
   DenseMarks dense_parent_;
   HashMarks hash_pos_;

@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "core/router.hpp"
-#include "core/routers/router_marks.hpp"
+#include "graph/bfs.hpp"
 
 namespace faultroute {
 
@@ -33,7 +33,7 @@ class LandmarkRouter : public Router {
  private:
   // Search state pooled across the messages a worker routes (dense marks on
   // the flat adjacency path, hash marks on the implicit path; bit-identical
-  // results — see core/routers/router_marks.hpp). `pos` maps landmark
+  // results — see graph/bfs.hpp). `pos` maps landmark
   // vertex -> position along the fault-free shortest path; `parent` is the
   // per-segment BFS tree.
   DenseMarks dense_pos_;

@@ -1,11 +1,11 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
+#include "graph/bfs.hpp"
 #include "graph/flat_adjacency.hpp"
 
 // analyze:allow-file-hot-alloc(landmark walk: the pooled queue retains capacity across segments; segment and walk splices materialize the result path)
@@ -13,7 +13,7 @@ namespace faultroute::detail {
 
 /// The landmark walk of Theorems 3(ii)/4, shared by LandmarkRouter (the
 /// whole algorithm) and HybridGreedyRouter (its repair phase), templated
-/// over the marks backend (core/routers/router_marks.hpp):
+/// over the marks backend (graph/bfs.hpp):
 ///
 ///   1. fix the fault-free shortest path from .. v as landmarks;
 ///   2. from the furthest landmark reached, BFS over open probed edges
@@ -75,12 +75,7 @@ bool landmark_walk(ProbeContext& ctx, const AdjacencyView& adj, VertexId from, V
 
     // Append the BFS segment start -> found (skipping `start`, already on
     // the walk).
-    Path segment;
-    for (VertexId x = found;; x = parent.at(x)) {
-      segment.push_back(x);
-      if (x == start) break;
-    }
-    std::reverse(segment.begin(), segment.end());
+    const Path segment = path_from_parents(parent, found);
     walk.insert(walk.end(), segment.begin() + 1, segment.end());
     pos = found_pos;
   }

@@ -124,7 +124,7 @@ class DistanceOracle {
   /// n_ words on first use, then only refilled. Every bfs_block caller
   /// serializes (the ctor runs single-threaded, ensure_targets holds mutex_
   /// exclusively), so one shared scratch is race-free — same pooling idiom
-  /// as ProbeArena / BfsScratch.
+  /// as ProbeArena / DenseMarks.
   struct BlockScratch {
     std::vector<std::uint64_t> visited;
     std::vector<std::uint64_t> frontier;

@@ -1,10 +1,6 @@
 #include "graph/topology.hpp"
 
-#include <algorithm>
-#include <queue>
-#include <unordered_map>
-
-#include "graph/bfs_scratch.hpp"
+#include "graph/bfs.hpp"
 #include "graph/channel_index.hpp"
 #include "graph/flat_adjacency.hpp"
 
@@ -12,18 +8,35 @@ namespace faultroute {
 
 namespace {
 
-/// Dense scratch is worth allocating only when the vertex-indexed arrays fit
+/// Dense marks are worth allocating only when the vertex-indexed arrays fit
 /// comfortably in memory; gigantic implicit families (which override the
-/// metric anyway) keep the hash path below.
+/// metric anyway) keep hash marks.
 constexpr std::uint64_t kDenseBfsBudgetVertices = 1ull << 26;
 
-/// The default metric's own scratch, distinct from detail::bfs_scratch():
-/// the percolation analyses hold live epochs in that instance across calls
-/// that may re-enter distance()/shortest_path(), and sharing one epoch
-/// counter would silently invalidate their marks mid-sweep.
-detail::BfsScratch& metric_scratch() {
-  static thread_local detail::BfsScratch scratch;
-  return scratch;
+/// The default metric's own pooled search state, distinct from the
+/// percolation analyses' instance: those hold live epochs across calls that
+/// may re-enter distance()/shortest_path(), and sharing one epoch counter
+/// would silently invalidate their marks mid-sweep.
+DenseSearchState& metric_search() {
+  static thread_local DenseSearchState search;
+  return search;
+}
+
+/// The fault-free BFS from `u` over every edge: dense pooled marks within
+/// the budget, hash marks past it. Same traversal either way, so the two
+/// tiers return identical distances and paths.
+template <typename Visit>
+void metric_bfs(const Topology& graph, VertexId u, Visit&& visit) {
+  const TopologyRows rows{&graph};
+  const auto every_edge = [](const TopologyRows::Row& /*row*/, int /*i*/) { return true; };
+  if (graph.num_vertices() <= kDenseBfsBudgetVertices) {
+    DenseSearchState& search = metric_search();
+    breadth_first_search(rows, search.marks, search.queue, u, every_edge, visit);
+    return;
+  }
+  HashMarks marks;
+  std::vector<VertexId> queue;
+  breadth_first_search(rows, marks, queue, u, every_edge, visit);
 }
 
 }  // namespace
@@ -44,122 +57,27 @@ const FlatAdjacency& Topology::flat_adjacency() const {
   return *flat_adjacency_;
 }
 
-// analyze:hot-root(dense BFS scratch path: metric fallback in router inner loops) analyze:allow-hot-alloc(dense tier runs on pooled thread-local scratch; the hash tier is the documented past-budget fallback)
+// analyze:hot-root(dense BFS scratch path: metric fallback in router inner loops) analyze:allow-hot-alloc(dense tier runs on pooled thread-local marks; the hash tier is the documented past-budget fallback)
 std::uint64_t Topology::distance(VertexId u, VertexId v) const {
   if (u == v) return 0;
-  const std::uint64_t n = num_vertices();
-  if (n <= kDenseBfsBudgetVertices) {
-    // Epoch-stamped dense BFS: same FIFO slot-order traversal as the hash
-    // path below, so the two tiers return identical values; "clearing"
-    // between calls is one epoch increment, and the scratch arrays are
-    // pooled per thread (zero allocation in steady state).
-    detail::BfsScratch& scratch = metric_scratch();
-    scratch.begin(n);
-    scratch.mark(u);
-    scratch.dist_queue.emplace_back(u, 0);
-    std::size_t head = 0;
-    while (head < scratch.dist_queue.size()) {
-      const auto [x, dx] = scratch.dist_queue[head++];
-      const int deg = degree(x);
-      for (int i = 0; i < deg; ++i) {
-        const VertexId y = neighbor(x, i);
-        if (scratch.seen(y)) continue;
-        if (y == v) return dx + 1;
-        scratch.mark(y);
-        scratch.dist_queue.emplace_back(y, dx + 1);
-      }
-    }
-    return n;
-  }
-  // Hash BFS over the implicit adjacency for graphs too large for dense
-  // vertex-indexed scratch. Unreachable => num_vertices().
-  // lint:allow-hash(fallback BFS for graphs past the dense-scratch budget)
-  std::unordered_map<VertexId, std::uint64_t> dist;
-  std::queue<VertexId> queue;
-  dist.emplace(u, 0);
-  queue.push(u);
-  while (!queue.empty()) {
-    const VertexId x = queue.front();
-    queue.pop();
-    const std::uint64_t dx = dist.at(x);
-    const int deg = degree(x);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId y = neighbor(x, i);
-      if (dist.contains(y)) continue;
-      if (y == v) return dx + 1;
-      dist.emplace(y, dx + 1);
-      queue.push(y);
-    }
-  }
-  return n;
+  std::uint64_t dist = num_vertices();  // unreachable
+  metric_bfs(*this, u, [&](const auto& /*marks*/, VertexId y, std::uint64_t depth) {
+    if (y != v) return true;
+    dist = depth;
+    return false;
+  });
+  return dist;
 }
 
-// analyze:allow-hot-alloc(pooled dense scratch plus result materialization; the hash tier is the documented past-budget fallback)
+// analyze:allow-hot-alloc(pooled dense marks plus result materialization; the hash tier is the documented past-budget fallback)
 std::vector<VertexId> Topology::shortest_path(VertexId u, VertexId v) const {
   if (u == v) return {u};
-  const std::uint64_t n = num_vertices();
-  if (n <= kDenseBfsBudgetVertices) {
-    // Dense tier, traversal-order-identical to the hash tier below (and to
-    // the pre-dense implementation), so the *same* shortest path comes back
-    // regardless of graph size — landmark routing's path identity depends
-    // on it.
-    detail::BfsScratch& scratch = metric_scratch();
-    scratch.begin(n);
-    scratch.mark(u, u);
-    scratch.queue.push_back(u);
-    std::size_t head = 0;
-    bool found = false;
-    while (head < scratch.queue.size() && !found) {
-      const VertexId x = scratch.queue[head++];
-      const int deg = degree(x);
-      for (int i = 0; i < deg; ++i) {
-        const VertexId y = neighbor(x, i);
-        if (scratch.seen(y)) continue;
-        scratch.mark(y, x);
-        if (y == v) {
-          found = true;
-          break;
-        }
-        scratch.queue.push_back(y);
-      }
-    }
-    if (!found) return {};
-    std::vector<VertexId> path;
-    for (VertexId x = v;; x = scratch.parent[x]) {
-      path.push_back(x);
-      if (x == u) break;
-    }
-    std::reverse(path.begin(), path.end());
-    return path;
-  }
-  // lint:allow-hash(fallback BFS for graphs past the dense-scratch budget)
-  std::unordered_map<VertexId, VertexId> parent;
-  std::queue<VertexId> queue;
-  parent.emplace(u, u);
-  queue.push(u);
-  bool found = false;
-  while (!queue.empty() && !found) {
-    const VertexId x = queue.front();
-    queue.pop();
-    const int deg = degree(x);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId y = neighbor(x, i);
-      if (parent.contains(y)) continue;
-      parent.emplace(y, x);
-      if (y == v) {
-        found = true;
-        break;
-      }
-      queue.push(y);
-    }
-  }
-  if (!found) return {};
-  std::vector<VertexId> path;
-  for (VertexId x = v;; x = parent.at(x)) {
-    path.push_back(x);
-    if (x == u) break;
-  }
-  std::reverse(path.begin(), path.end());
+  std::vector<VertexId> path;  // stays empty if v is unreachable
+  metric_bfs(*this, u, [&](const auto& parent, VertexId y, std::uint64_t /*depth*/) {
+    if (y != v) return true;
+    path = path_from_parents(parent, v);
+    return false;
+  });
   return path;
 }
 

@@ -1,10 +1,13 @@
 #include "percolation/cluster_analysis.hpp"
 
-#include <queue>
-#include <unordered_map>
-#include <unordered_set>
+#include <unistd.h>
 
-#include "graph/bfs_scratch.hpp"
+#include <limits>
+#include <new>
+#include <stdexcept>
+#include <string>
+
+#include "percolation/open_search.hpp"
 
 namespace faultroute {
 
@@ -12,104 +15,68 @@ namespace {
 
 /// Applies `fn(v, w)` to every open edge, visiting each undirected edge once
 /// (from its lower-id endpoint; parallel edges appear as separate slots of
-/// that endpoint, so they stay exact). Implicit-interface sweep.
+/// that endpoint, so they stay exact). One sweep over either adjacency
+/// backend: CSR rows with indexed sampler queries when flat, the virtual
+/// interface otherwise — identical visit order and verdicts.
 template <typename Fn>
-void for_each_open_edge(const Topology& graph, const EdgeSampler& sampler, Fn&& fn) {
+void for_each_open_edge(const Topology& graph, const EdgeSampler& sampler, AdjacencyMode mode,
+                        Fn&& fn) {
+  const auto sweep = [&](const auto& rows) {
+    const std::uint64_t n = rows.num_vertices();
+    for (VertexId v = 0; v < n; ++v) {
+      const auto row = rows.row(v);
+      for (int i = 0; i < row.degree; ++i) {
+        const VertexId w = rows.neighbor(row, i);
+        if (w <= v) continue;  // visit each edge from its lower endpoint only
+        if (rows.is_open(sampler, row, i)) fn(v, w);
+      }
+    }
+  };
+  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
+    sweep(CsrRows{flat});
+  } else {
+    sweep(TopologyRows{&graph});
+  }
+}
+
+/// The union-find over every vertex of `graph`, or std::length_error naming
+/// the topology, vertex count and byte count when it cannot fit: checked
+/// against physical memory before allocating, and a std::bad_alloc from the
+/// allocation itself maps to the same message.
+UnionFind sized_union_find(const Topology& graph) {
   const std::uint64_t n = graph.num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    const int deg = graph.degree(v);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId w = graph.neighbor(v, i);
-      if (w <= v) continue;  // visit each edge from its lower endpoint only
-      if (sampler.is_open(graph.edge_key(v, i))) fn(v, w);
-    }
+  const std::uint64_t max_u64 = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t bytes =
+      n > max_u64 / UnionFind::kBytesPerElement ? max_u64 : n * UnionFind::kBytesPerElement;
+  const auto too_large = [&] {
+    return std::length_error("union-find over " + graph.name() + " needs " +
+                             std::to_string(bytes) + " bytes for " + std::to_string(n) +
+                             " vertices, more than this machine can allocate");
+  };
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGE_SIZE);
+  if (pages > 0 && page_size > 0 &&
+      bytes / static_cast<std::uint64_t>(page_size) >= static_cast<std::uint64_t>(pages)) {
+    throw too_large();
   }
-}
-
-/// The same sweep over CSR rows: two array loads per slot and an indexed
-/// sampler query, no virtual dispatch. Identical visit order and verdicts.
-template <typename Fn>
-void for_each_open_edge(const FlatAdjacency& flat, const EdgeSampler& sampler, Fn&& fn) {
-  const std::uint64_t n = flat.num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    const std::uint64_t end = flat.row_end(v);
-    for (std::uint64_t pos = flat.row_begin(v); pos < end; ++pos) {
-      const VertexId w = flat.neighbor_at(pos);
-      if (w <= v) continue;
-      if (sampler.is_open_indexed(flat.edge_id_at(pos), flat.edge_key_at(pos))) fn(v, w);
-    }
+  try {
+    return UnionFind(n);
+  } catch (const std::bad_alloc&) {
+    throw too_large();
   }
-}
-
-std::vector<VertexId> open_cluster_of_flat(const FlatAdjacency& flat,
-                                           const EdgeSampler& sampler, VertexId source,
-                                           std::uint64_t max_vertices) {
-  // The BFS queue *is* the returned visit order (a vertex is enqueued
-  // exactly when first visited), so one vector with a head cursor replaces
-  // both the hash set and the node-based queue.
-  std::vector<VertexId> order;
-  detail::BfsScratch& scratch = detail::bfs_scratch();
-  scratch.begin(flat.num_vertices());
-  scratch.mark(source);
-  order.push_back(source);
-  std::size_t head = 0;
-  while (head < order.size()) {
-    if (max_vertices != 0 && order.size() >= max_vertices) break;
-    const VertexId x = order[head++];
-    const std::uint64_t end = flat.row_end(x);
-    for (std::uint64_t pos = flat.row_begin(x); pos < end; ++pos) {
-      const VertexId y = flat.neighbor_at(pos);
-      if (scratch.seen(y)) continue;
-      if (!sampler.is_open_indexed(flat.edge_id_at(pos), flat.edge_key_at(pos))) continue;
-      scratch.mark(y);
-      order.push_back(y);
-      if (max_vertices != 0 && order.size() >= max_vertices) return order;
-    }
-  }
-  return order;
-}
-
-std::optional<bool> open_connected_flat(const FlatAdjacency& flat, const EdgeSampler& sampler,
-                                        VertexId u, VertexId v,
-                                        std::uint64_t max_vertices) {
-  detail::BfsScratch& scratch = detail::bfs_scratch();
-  scratch.begin(flat.num_vertices());
-  scratch.mark(u);
-  scratch.queue.push_back(u);
-  std::uint64_t count = 1;
-  std::size_t head = 0;
-  while (head < scratch.queue.size()) {
-    const VertexId x = scratch.queue[head++];
-    const std::uint64_t end = flat.row_end(x);
-    for (std::uint64_t pos = flat.row_begin(x); pos < end; ++pos) {
-      const VertexId y = flat.neighbor_at(pos);
-      if (scratch.seen(y)) continue;
-      if (!sampler.is_open_indexed(flat.edge_id_at(pos), flat.edge_key_at(pos))) continue;
-      if (y == v) return true;
-      scratch.mark(y);
-      ++count;
-      if (max_vertices != 0 && count >= max_vertices) return std::nullopt;
-      scratch.queue.push_back(y);
-    }
-  }
-  return false;
 }
 
 }  // namespace
 
 ClusterDecomposition::ClusterDecomposition(const Topology& graph, const EdgeSampler& sampler,
                                            AdjacencyMode mode)
-    : dsu_(graph.num_vertices()), largest_root_(0) {
+    : dsu_(sized_union_find(graph)), largest_root_(0) {
   summary_.num_vertices = graph.num_vertices();
   const auto accumulate = [this](VertexId a, VertexId b) {
     ++summary_.num_open_edges;
     dsu_.unite(a, b);
   };
-  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
-    for_each_open_edge(*flat, sampler, accumulate);
-  } else {
-    for_each_open_edge(graph, sampler, accumulate);
-  }
+  for_each_open_edge(graph, sampler, mode, accumulate);
   summary_.num_components = dsu_.num_components();
   // Scan roots for the two largest clusters.
   for (VertexId v = 0; v < summary_.num_vertices; ++v) {
@@ -137,72 +104,49 @@ ComponentSummary analyze_components(const Topology& graph, const EdgeSampler& sa
 std::vector<VertexId> open_cluster_of(const Topology& graph, const EdgeSampler& sampler,
                                       VertexId source, std::uint64_t max_vertices,
                                       AdjacencyMode mode) {
-  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
-    return open_cluster_of_flat(*flat, sampler, source, max_vertices);
-  }
-  std::vector<VertexId> visited_order;
-  std::unordered_set<VertexId> visited;
-  std::queue<VertexId> queue;
-  visited.insert(source);
-  visited_order.push_back(source);
-  queue.push(source);
-  while (!queue.empty()) {
-    if (max_vertices != 0 && visited_order.size() >= max_vertices) break;
-    const VertexId x = queue.front();
-    queue.pop();
-    const int deg = graph.degree(x);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId y = graph.neighbor(x, i);
-      if (visited.contains(y)) continue;
-      if (!sampler.is_open(graph.edge_key(x, i))) continue;
-      visited.insert(y);
-      visited_order.push_back(y);
-      if (max_vertices != 0 && visited_order.size() >= max_vertices) return visited_order;
-      queue.push(y);
-    }
-  }
-  return visited_order;
+  return detail::with_open_search(
+      graph, sampler, mode,
+      [&](const auto& rows, auto& marks, std::vector<VertexId>& queue, const auto& open) {
+        // The cap is checked before each pop and after each push; the
+        // pre-pop check can only fire first when the cap is one.
+        if (max_vertices == 1) return std::vector<VertexId>{source};
+        breadth_first_search(rows, marks, queue, source, open,
+                             [&](const auto& /*marks*/, VertexId /*y*/, std::uint64_t /*depth*/) {
+                               return max_vertices == 0 || queue.size() < max_vertices;
+                             });
+        return queue;  // the BFS queue is the visit order
+      });
 }
 
 std::optional<bool> open_connected(const Topology& graph, const EdgeSampler& sampler,
                                    VertexId u, VertexId v, std::uint64_t max_vertices,
                                    AdjacencyMode mode) {
   if (u == v) return true;
-  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
-    return open_connected_flat(*flat, sampler, u, v, max_vertices);
-  }
-  std::unordered_set<VertexId> visited;
-  std::queue<VertexId> queue;
-  visited.insert(u);
-  queue.push(u);
-  std::uint64_t count = 1;
-  while (!queue.empty()) {
-    const VertexId x = queue.front();
-    queue.pop();
-    const int deg = graph.degree(x);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId y = graph.neighbor(x, i);
-      if (visited.contains(y)) continue;
-      if (!sampler.is_open(graph.edge_key(x, i))) continue;
-      if (y == v) return true;
-      visited.insert(y);
-      ++count;
-      if (max_vertices != 0 && count >= max_vertices) return std::nullopt;
-      queue.push(y);
-    }
-  }
-  return false;
+  return detail::with_open_search(
+      graph, sampler, mode,
+      [&](const auto& rows, auto& marks, std::vector<VertexId>& queue, const auto& open) {
+        std::optional<bool> connected = false;  // exhausted the cluster
+        breadth_first_search(rows, marks, queue, u, open,
+                             [&](const auto& /*marks*/, VertexId y, std::uint64_t /*depth*/) {
+                               if (y == v) {
+                                 connected = true;
+                                 return false;
+                               }
+                               if (max_vertices != 0 && queue.size() >= max_vertices) {
+                                 connected = std::nullopt;  // unknown
+                                 return false;
+                               }
+                               return true;
+                             });
+        return connected;
+      });
 }
 
 ExplicitGraph materialize_open_subgraph(const Topology& graph, const EdgeSampler& sampler,
                                         AdjacencyMode mode) {
   ExplicitGraph::EdgeList edges;
   const auto collect = [&edges](VertexId a, VertexId b) { edges.emplace_back(a, b); };
-  if (const FlatAdjacency* flat = resolve_adjacency(graph, mode)) {
-    for_each_open_edge(*flat, sampler, collect);
-  } else {
-    for_each_open_edge(graph, sampler, collect);
-  }
+  for_each_open_edge(graph, sampler, mode, collect);
   return ExplicitGraph(graph.num_vertices(), edges);
 }
 

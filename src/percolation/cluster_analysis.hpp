@@ -31,7 +31,10 @@ struct ComponentSummary {
 
 /// Full cluster decomposition: summary plus a union-find for same-cluster
 /// queries. Materialises every edge once — O(V + E) time, O(V) memory — so
-/// only use on graphs small enough to enumerate (<= ~10^8 edges).
+/// only use on graphs small enough to enumerate (<= ~10^8 edges). Throws
+/// std::length_error, naming the topology and the byte count, when the
+/// union-find (16 bytes per vertex) exceeds physical memory or its
+/// allocation fails.
 ///
 /// `mode` selects the adjacency backend the edge sweep runs over (see
 /// graph/flat_adjacency.hpp): CSR rows with indexed sampler queries when

@@ -1,6 +1,8 @@
 #include "percolation/threshold.hpp"
 
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
@@ -13,6 +15,17 @@ double estimate_threshold(const OrderParameter& order, double lo, double hi,
   if (!(lo < hi)) throw std::invalid_argument("estimate_threshold: need lo < hi");
   if (config.trials_per_point < 1) {
     throw std::invalid_argument("estimate_threshold: trials_per_point must be >= 1");
+  }
+  // Negated comparisons so NaN fails them: a tolerance <= 0 never ends the
+  // bisection, and a target outside (0, 1] only walks to a bracket end.
+  if (!(std::isfinite(config.tolerance) && config.tolerance > 0.0)) {
+    throw std::invalid_argument("estimate_threshold: tolerance must be finite and > 0, got " +
+                                std::to_string(config.tolerance));
+  }
+  if (!(config.target_fraction > 0.0 && config.target_fraction <= 1.0)) {
+    throw std::invalid_argument(
+        "estimate_threshold: target_fraction must be in (0, 1], got " +
+        std::to_string(config.target_fraction));
   }
   std::uint64_t probe_index = 0;
   const auto averaged = [&](double p) {

@@ -11,11 +11,12 @@ namespace faultroute {
 /// Configuration for the critical-probability estimator.
 struct ThresholdConfig {
   /// The order parameter crosses `target_fraction` at the estimated point
-  /// (e.g. 0.2 of all vertices in the largest cluster).
+  /// (e.g. 0.2 of all vertices in the largest cluster). Must be in (0, 1].
   double target_fraction = 0.2;
   /// Monte-Carlo repetitions per probed p.
   int trials_per_point = 8;
-  /// Bisection stops when the bracket is narrower than this.
+  /// Bisection stops when the bracket is narrower than this. Must be finite
+  /// and > 0.
   double tolerance = 1e-3;
   /// Base seed; trial i at probe j uses a seed derived from (seed, j, i).
   std::uint64_t seed = 0x5eedULL;
@@ -27,7 +28,9 @@ using OrderParameter = std::function<double(double p, std::uint64_t seed)>;
 
 /// Estimates the percolation threshold of a monotone order parameter by
 /// bisection on p in [lo, hi]: the returned p* is where the averaged order
-/// parameter crosses `target_fraction`.
+/// parameter crosses `target_fraction`. Throws std::invalid_argument,
+/// naming the field, unless lo < hi, trials_per_point >= 1, tolerance is
+/// finite and > 0, and target_fraction is in (0, 1].
 ///
 /// Used for E7: recovering p_c(2) ~ 0.5 and p_c(3) ~ 0.2488 on finite
 /// meshes, and the giant-component threshold p ~ 1/n of the hypercube.

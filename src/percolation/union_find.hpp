@@ -11,6 +11,9 @@ namespace faultroute {
 /// clusters of finite graphs.
 class UnionFind {
  public:
+  /// Memory cost per element: one parent and one size word.
+  static constexpr std::uint64_t kBytesPerElement = 2 * sizeof(std::uint64_t);
+
   explicit UnionFind(std::uint64_t n) : parent_(n), size_(n, 1), components_(n) {
     std::iota(parent_.begin(), parent_.end(), std::uint64_t{0});
   }

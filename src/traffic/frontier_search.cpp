@@ -1,14 +1,14 @@
 #include "traffic/frontier_search.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 
 #include "core/parallel.hpp"
 #include "core/probe_context.hpp"
-#include "graph/bfs_scratch.hpp"
+#include "core/routers/bfs_searches.hpp"
+#include "graph/bfs.hpp"
 #include "obs/run_metrics.hpp"
 
 namespace faultroute {
@@ -45,22 +45,16 @@ constexpr std::size_t kBlockMessages = 64;
 /// be shared across the word because the percolation environment is fixed —
 /// every message probing an edge gets the same bit back.
 struct BlockMemo {
-  std::vector<std::uint32_t> stamp;
-  std::vector<std::uint64_t> probed;  // valid iff stamp[e] == epoch
-  std::vector<std::uint8_t> open;     // valid iff stamp[e] == epoch
-  std::uint32_t epoch = 0;
+  EpochStamps stamps;
+  std::vector<std::uint64_t> probed;  // valid iff stamps.live(e)
+  std::vector<std::uint8_t> open;     // valid iff stamps.live(e)
 
   void begin_block(std::uint32_t num_edges) {
-    if (stamp.size() < num_edges) {
-      stamp.resize(num_edges, 0);  // analyze:allow-hot-alloc(grow-only pooled memo warm-up)
-      probed.resize(num_edges, 0);  // analyze:allow-hot-alloc(same grow-only warm-up)
+    stamps.begin(num_edges);
+    if (probed.size() < num_edges) {
+      probed.resize(num_edges, 0);  // analyze:allow-hot-alloc(grow-only pooled memo warm-up)
       open.resize(num_edges, 0);  // analyze:allow-hot-alloc(same grow-only warm-up)
     }
-    if (epoch == std::numeric_limits<std::uint32_t>::max()) {
-      std::fill(stamp.begin(), stamp.end(), 0u);
-      epoch = 0;
-    }
-    ++epoch;
   }
 };
 
@@ -86,7 +80,7 @@ struct BatchProbe {
   bool probe(VertexId v, int i) {
     ++total;
     const std::uint32_t e = flat->edge_id(v, i);
-    const bool live = memo->stamp[e] == memo->epoch;
+    const bool live = memo->stamps.live(e);
     if (live && (memo->probed[e] & bit) != 0) {
       return memo->open[e] != 0;  // this message's own re-probe: memoised
     }
@@ -98,116 +92,16 @@ struct BatchProbe {
     if (live) {
       memo->probed[e] |= bit;
     } else {
-      memo->stamp[e] = memo->epoch;
+      memo->stamps.stamp(e);
       memo->probed[e] = bit;
     }
     memo->open[e] = is_open ? 1 : 0;
     ++distinct;
     return is_open;
   }
+
+  void note_expansion() { ++expansions; }
 };
-
-/// flood_router.cpp's flood_search, replayed over the CSR snapshot with the
-/// worker's pooled BfsScratch as the dense parent marks: identical FIFO
-/// queue, identical probe order (including the target-first reordering),
-/// identical path reconstruction.
-// analyze:allow-hot-alloc(pooled scratch queue retains capacity across the block; the path materializes one result)
-std::optional<Path> flood_message(BatchProbe& probe, BfsScratch& s, const FlatAdjacency& flat,
-                                  VertexId u, VertexId v, bool target_first) {
-  s.begin(flat.num_vertices());
-  s.mark(u, u);
-  s.queue.push_back(u);
-  std::size_t head = 0;
-  while (head < s.queue.size()) {
-    const VertexId x = s.queue[head++];
-    ++probe.expansions;
-    const std::uint64_t row = flat.row_begin(x);
-    const int deg = flat.degree(x);
-    int target_index = -1;
-    if (target_first) target_index = edge_index_of(flat, x, v);
-    for (int step = (target_index >= 0 ? -1 : 0); step < deg; ++step) {
-      const int i = (step == -1) ? target_index : step;
-      if (step != -1 && i == target_index && target_index >= 0) continue;  // done already
-      const VertexId y = flat.neighbor_at(row + static_cast<std::uint64_t>(i));
-      if (s.seen(y)) continue;
-      if (!probe.probe(x, i)) continue;
-      s.mark(y, x);
-      if (y == v) {
-        Path path;
-        for (VertexId z = v;; z = s.parent[z]) {
-          path.push_back(z);
-          if (z == u) break;
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      s.queue.push_back(y);
-    }
-  }
-  return std::nullopt;
-}
-
-// analyze:allow-hot-alloc(result-path materialization bounded by chain length)
-Path chain_to_root(const BfsScratch& s, VertexId from) {
-  Path path;
-  for (VertexId x = from;; x = s.parent[x]) {
-    path.push_back(x);
-    if (s.parent[x] == x) break;
-  }
-  return path;  // from .. root
-}
-
-/// bidirectional_router.cpp's bidirectional_search, replayed likewise: the
-/// two balls live in the worker's two scratches, the smaller live frontier
-/// expands first (ties: u side), and the meet/join/simplify steps match the
-/// router verbatim.
-// analyze:allow-hot-alloc(pooled scratch queues retain capacity across the block; join materializes one result path)
-std::optional<Path> bidirectional_message(BatchProbe& probe, BfsScratch& su, BfsScratch& sv,
-                                          const FlatAdjacency& flat, VertexId u, VertexId v) {
-  const std::uint64_t n = flat.num_vertices();
-  su.begin(n);
-  sv.begin(n);
-  su.mark(u, u);
-  su.queue.push_back(u);
-  sv.mark(v, v);
-  sv.queue.push_back(v);
-  std::size_t head_u = 0;
-  std::size_t head_v = 0;
-  const auto live_u = [&] { return su.queue.size() - head_u; };
-  const auto live_v = [&] { return sv.queue.size() - head_v; };
-
-  const auto join = [&](VertexId meeting, VertexId via_u_side) {
-    Path left = chain_to_root(su, via_u_side);
-    std::reverse(left.begin(), left.end());  // u .. via_u_side
-    const Path right = chain_to_root(sv, meeting);  // meeting .. v
-    left.insert(left.end(), right.begin(), right.end());
-    return simplify_walk(left);
-  };
-
-  while (live_u() > 0 || live_v() > 0) {
-    const bool expand_u = live_u() > 0 && (live_v() == 0 || live_u() <= live_v());
-    BfsScratch& mine = expand_u ? su : sv;
-    BfsScratch& other = expand_u ? sv : su;
-    std::size_t& head = expand_u ? head_u : head_v;
-    const VertexId x = mine.queue[head++];
-    ++probe.expansions;
-    const std::uint64_t row = flat.row_begin(x);
-    const int deg = flat.degree(x);
-    for (int i = 0; i < deg; ++i) {
-      const VertexId y = flat.neighbor_at(row + static_cast<std::uint64_t>(i));
-      if (mine.seen(y)) continue;
-      if (!probe.probe(x, i)) continue;
-      if (other.seen(y)) {
-        // The two balls touch along edge (x, y).
-        if (expand_u) return join(y, x);
-        return join(x, y);
-      }
-      mine.mark(y, x);
-      mine.queue.push_back(y);
-    }
-  }
-  return std::nullopt;
-}
 
 }  // namespace
 
@@ -235,8 +129,10 @@ void route_frontier_batched(const Topology& graph, const EdgeSampler& env,
 
   struct WorkerScratch {
     BlockMemo memo;
-    BfsScratch search_u;
-    BfsScratch search_v;
+    DenseMarks parent_u;
+    DenseMarks parent_v;
+    std::vector<VertexId> queue_u;
+    std::vector<VertexId> queue_v;
   };
 
   // Blocks are the parallel unit (disjoint message ranges); messages within
@@ -270,10 +166,12 @@ void route_frontier_batched(const Topology& graph, const EdgeSampler& env,
         std::optional<Path> path;
         try {
           path = kind == BatchSearchKind::kFlood
-                     ? flood_message(probe, scratch->search_u, flat, msg.source, msg.target,
-                                     probe_target_first)
-                     : bidirectional_message(probe, scratch->search_u, scratch->search_v,
-                                             flat, msg.source, msg.target);
+                     ? flood_search(probe, CsrRows{&flat}, msg.source, msg.target,
+                                    probe_target_first, scratch->parent_u, scratch->queue_u)
+                     : bidirectional_search(
+                           probe, CsrRows{&flat}, msg.source, msg.target,
+                           SearchBall<DenseMarks>{&scratch->parent_u, &scratch->queue_u},
+                           SearchBall<DenseMarks>{&scratch->parent_v, &scratch->queue_v});
         } catch (const ProbeBudgetExceeded&) {
           out.censored = true;
         }

@@ -7,10 +7,11 @@
 
 namespace faultroute::detail {
 
-/// Which search-router family the batched frontier executor replays. Only
-/// families whose per-message searches the executor reproduces move-for-move
-/// are eligible; everything else routes per message (with metric routers
-/// accelerated by the DistanceOracle instead — see routing_phase.cpp).
+/// Which search-router family the batched frontier executor runs. Only
+/// families whose search bodies the executor can call with its own probe
+/// type (core/routers/bfs_searches.hpp) are eligible; everything else routes
+/// per message (with metric routers accelerated by the DistanceOracle
+/// instead — see routing_phase.cpp).
 enum class BatchSearchKind {
   kFlood,          ///< FloodRouter (plain or target-first)
   kBidirectional,  ///< BidirectionalBfsRouter
@@ -24,9 +25,9 @@ enum class BatchSearchKind {
 /// worker's scratch. Every observable — outcomes, probe/expansion counts,
 /// censoring points, shared-cache hit/miss totals, and the returned paths —
 /// is bit-identical to route_all driving the real router per message
-/// (tests/test_frontier_search.cpp): each message's search runs in exactly
-/// the original FIFO order, and each (message, edge) first probe still
-/// reaches the shared environment exactly once. Requires the flat adjacency
+/// (tests/test_frontier_search.cpp): each message runs the router's own
+/// search body (core/routers/bfs_searches.hpp), and each (message, edge)
+/// first probe still reaches the shared environment exactly once. Requires the flat adjacency
 /// path (the caller falls back to per-message routing otherwise).
 ///
 /// `env` is the same (possibly cache-wrapped) sampler route_all would probe

@@ -20,6 +20,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "graph/bfs.hpp"
 #include "graph/distance_oracle.hpp"
 #include "graph/explicit_graph.hpp"
 #include "graph/flat_adjacency.hpp"
@@ -48,6 +49,33 @@ std::unordered_map<VertexId, std::uint64_t> reference_bfs(const Topology& graph,
     }
   }
   return dist;
+}
+
+/// The BFS kernel over the virtual interface with hash marks — the
+/// instantiation Topology::distance / shortest_path run past the dense-marks
+/// budget of 2^26 vertices, which no test graph reaches. Returns the
+/// distance of every vertex reachable from `source`, plus the path the
+/// parent marks record to `target` (empty if unreachable).
+struct HashMarksSearch {
+  std::unordered_map<VertexId, std::uint64_t> dist;
+  std::vector<VertexId> path_to_target;
+};
+
+HashMarksSearch hash_marks_bfs(const Topology& graph, VertexId source, VertexId target) {
+  HashMarksSearch result;
+  result.dist.emplace(source, 0);
+  if (source == target) result.path_to_target = {source};
+  HashMarks marks;
+  std::vector<VertexId> queue;
+  breadth_first_search(
+      TopologyRows{&graph}, marks, queue, source,
+      [](const TopologyRows::Row& /*row*/, int /*i*/) { return true; },
+      [&](const HashMarks& parent, VertexId y, std::uint64_t depth) {
+        result.dist.emplace(y, depth);
+        if (y == target) result.path_to_target = path_from_parents(parent, y);
+        return true;
+      });
+  return result;
 }
 
 /// True iff u and v share an edge (any parallel copy).
@@ -205,6 +233,7 @@ TEST(DistanceOracle, DenseScratchDistanceRegressions) {
       for (VertexId v = 0; v < n; ++v) {
         ASSERT_EQ(graph->distance(u, v), reference.at(v)) << "u=" << u << " v=" << v;
       }
+      EXPECT_EQ(hash_marks_bfs(*graph, u, u).dist, reference) << "hash marks, u=" << u;
     }
     // Interleaved distance / shortest_path calls must not corrupt the
     // shared scratch (each call opens its own epoch).
@@ -214,6 +243,8 @@ TEST(DistanceOracle, DenseScratchDistanceRegressions) {
       const VertexId v = uniform_below(rng, n);
       expect_valid_shortest_path(*graph, u, v);
       EXPECT_EQ(graph->distance(u, v), graph->distance(v, u));
+      // Both mark tiers record the same parents, so the same path.
+      EXPECT_EQ(hash_marks_bfs(*graph, u, v).path_to_target, graph->shortest_path(u, v));
     }
   }
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "analysis/stats.hpp"
 #include "graph/complete.hpp"
 #include "graph/hypercube.hpp"
@@ -183,6 +186,11 @@ TEST(OpenClusterOf, MatchesDecomposition) {
   const auto cluster = open_cluster_of(g, s, 0);
   EXPECT_EQ(cluster.size(), decomp.cluster_size(0));
   for (const VertexId v : cluster) EXPECT_TRUE(decomp.same_cluster(0, v));
+  // The implicit backend (hash marks over the virtual interface) against the
+  // same ground truth; the default runs dense marks over CSR rows.
+  const auto implicit = open_cluster_of(g, s, 0, 0, AdjacencyMode::kImplicit);
+  EXPECT_EQ(implicit.size(), decomp.cluster_size(0));
+  for (const VertexId v : implicit) EXPECT_TRUE(decomp.same_cluster(0, v));
 }
 
 TEST(OpenClusterOf, HonorsCap) {
@@ -200,6 +208,9 @@ TEST(OpenConnected, AgreesWithGroundTruth) {
     const auto result = open_connected(g, s, 0, v);
     ASSERT_TRUE(result.has_value());
     EXPECT_EQ(*result, decomp.same_cluster(0, v));
+    const auto implicit = open_connected(g, s, 0, v, 0, AdjacencyMode::kImplicit);
+    ASSERT_TRUE(implicit.has_value());
+    EXPECT_EQ(*implicit, decomp.same_cluster(0, v));
   }
 }
 
@@ -257,6 +268,7 @@ TEST(ChemicalDistance, DetourIsCounted) {
   const auto open_dist = chemical_distance(g, s, a, b);
   ASSERT_TRUE(open_dist.has_value());
   EXPECT_EQ(*open_dist, 4u);  // around the blocked edge
+  EXPECT_EQ(chemical_distance(g, s, a, b, 0, AdjacencyMode::kImplicit), 4u);
 }
 
 TEST(ChemicalPath, ReturnsAnOpenShortestPath) {
@@ -311,6 +323,27 @@ TEST(Threshold, ValidatesArguments) {
   ThresholdConfig bad;
   bad.trials_per_point = 0;
   EXPECT_THROW((void)estimate_threshold(order, 0.1, 0.9, bad), std::invalid_argument);
+  // A tolerance <= 0 never ends the bisection; a NaN tolerance or a target
+  // outside (0, 1] silently returns a bracket end. Each error names its field.
+  const auto rejects = [&](const ThresholdConfig& config, const std::string& field) {
+    try {
+      (void)estimate_threshold(order, 0.1, 0.9, config);
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  };
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  for (const double tolerance : {-1.0, 0.0, kNan, std::numeric_limits<double>::infinity()}) {
+    ThresholdConfig config;
+    config.tolerance = tolerance;
+    rejects(config, "tolerance");
+  }
+  for (const double target : {2.0, -1.0, 0.0, kNan}) {
+    ThresholdConfig config;
+    config.target_fraction = target;
+    rejects(config, "target_fraction");
+  }
 }
 
 TEST(Threshold, DegenerateOrderParameterGoesToBounds) {

@@ -1,12 +1,24 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
+#include "graph/epoch_stamps.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
 
 namespace faultroute {
+
+/// The test-only seam EpochStamps befriends: jumps the epoch counter to
+/// just before the 2^32 wrap, which begin() alone would need ~4 billion
+/// calls to reach.
+struct EpochStampsTestPeer {
+  static void set_epoch(EpochStamps& stamps, std::uint32_t epoch) { stamps.epoch_ = epoch; }
+};
+
 namespace {
 
 // ------------------------------------------------------------- ProbeContext
@@ -200,6 +212,26 @@ TEST_P(ProbeContextBackends, UnboundedBudgetReportsNullopt) {
 }
 
 // ----------------------------------------------------- dense backend proper
+
+TEST(EpochStamps, WrapLeavesNoPreWrapSlotLive) {
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  EpochStamps stamps;
+  stamps.begin(4);  // epoch 1
+  stamps.stamp(0);
+  EpochStampsTestPeer::set_epoch(stamps, kMax - 1);
+  stamps.begin(4);  // the last epoch before the wrap
+  stamps.stamp(1);
+  EXPECT_TRUE(stamps.live(1));
+  EXPECT_FALSE(stamps.live(0));
+  stamps.begin(4);  // wraps
+  // Slot 0 carries the epoch the counter restarts at, slot 1 the last
+  // pre-wrap epoch, slots 2-3 the never-stamped zero: none may read live.
+  for (std::uint64_t i = 0; i < 4; ++i) EXPECT_FALSE(stamps.live(i)) << "slot " << i;
+  stamps.stamp(2);
+  EXPECT_TRUE(stamps.live(2));
+  stamps.begin(4);
+  EXPECT_FALSE(stamps.live(2));
+}
 
 TEST(ProbeArena, EpochBumpIsolatesMessagesWithoutLeakingState) {
   const Hypercube g(4);
