@@ -38,25 +38,20 @@ EdgeLoadStats summarize_edge_id_load(const std::vector<std::uint64_t>& edge_load
   return stats;
 }
 
-EdgeLoadStats summarize_channel_load(const ChannelIndex& index,
-                                     const std::vector<std::uint64_t>& channel_load,
-                                     const std::vector<std::uint32_t>& used_channels) {
+EdgeLoadStats summarize_channel_load(
+    std::vector<std::pair<EdgeKey, std::uint64_t>>& keyed_loads) {
+  std::sort(keyed_loads.begin(), keyed_loads.end());
   EdgeLoadStats stats;
-  for (const std::uint32_t channel : used_channels) {
-    const std::uint32_t rev = index.reverse(channel);
-    // Each undirected edge is summarised once, by whichever of its two used
-    // directions comes first numerically (or by its only used direction).
-    if (rev < channel && channel_load[rev] > 0) continue;
-    const std::uint64_t pooled =
-        channel_load[channel] + (rev == channel ? 0 : channel_load[rev]);
-    ++stats.edges_used;
-    stats.total += pooled;
-    stats.max_load = std::max(stats.max_load, pooled);
+  for (std::size_t i = 0; i < keyed_loads.size();) {
+    // Both directions of one edge are adjacent after the sort.
+    std::uint64_t pooled = 0;
+    const EdgeKey key = keyed_loads[i].first;
+    for (; i < keyed_loads.size() && keyed_loads[i].first == key; ++i) {
+      pooled += keyed_loads[i].second;
+    }
+    accumulate_count(stats, pooled);
   }
-  if (stats.edges_used > 0) {
-    stats.mean_load =
-        static_cast<double>(stats.total) / static_cast<double>(stats.edges_used);
-  }
+  finalize_mean(stats);
   return stats;
 }
 

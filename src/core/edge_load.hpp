@@ -2,9 +2,9 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "graph/channel_index.hpp"
 #include "graph/topology.hpp"
 
 namespace faultroute {
@@ -34,15 +34,14 @@ struct EdgeLoadStats {
     const std::vector<std::uint64_t>& edge_load,
     const std::vector<std::uint32_t>& used_edges);
 
-/// Congestion summary of a dense per-directed-channel traversal vector (the
-/// event-driven traffic engine's accumulator — a flat array indexed by
-/// ChannelIndex id, no hashing on the hot path). The two directions of each
-/// undirected edge are pooled via ChannelIndex::reverse, matching the
-/// per-EdgeKey pooling of the map overload exactly. `used_channels` lists
-/// the channels with load > 0 (any order, no duplicates) so the summary
-/// costs O(used), not O(num_channels).
+/// Congestion summary of per-directed-channel traversal counts, each
+/// channel named by the canonical key of its undirected edge (the traffic
+/// engine's used channels, in any order, one entry per channel with load
+/// > 0). The two directions of an edge share its key and are pooled, as are
+/// no other channels — parallel edges have distinct keys — matching the
+/// per-EdgeKey pooling of the map overload exactly. Sorts `keyed_loads` in
+/// place, so the summary costs O(used log used), never O(channels).
 [[nodiscard]] EdgeLoadStats summarize_channel_load(
-    const ChannelIndex& index, const std::vector<std::uint64_t>& channel_load,
-    const std::vector<std::uint32_t>& used_channels);
+    std::vector<std::pair<EdgeKey, std::uint64_t>>& keyed_loads);
 
 }  // namespace faultroute

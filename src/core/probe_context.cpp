@@ -1,24 +1,20 @@
 #include "core/probe_context.hpp"
 
-#include "graph/channel_index.hpp"
 #include "graph/distance_oracle.hpp"
 #include "graph/flat_adjacency.hpp"
 
 namespace faultroute {
 
-void ProbeArena::begin_message(const Topology& graph) {
-  // Re-fetch the channel index every message rather than caching it behind
-  // a topology-address compare: a new topology allocated where a destroyed
-  // one lived would alias such a cache (dangling index, wrongly-sized
-  // arrays). channel_index() is one call_once fast path — nothing against
-  // the cost of routing a message. Arrays only ever grow; slots stamped by
-  // a previous topology are harmless because a fresh epoch invalidates them.
-  channels_ = &graph.channel_index();
-  edge_stamps_.begin(channels_->num_edge_ids());
-  if (edge_open_.size() < channels_->num_edge_ids()) {
-    edge_open_.resize(channels_->num_edge_ids(), 0);  // analyze:allow-hot-alloc(grow-only arena warm-up, reused across messages)
+void ProbeArena::begin_message(const FlatAdjacency& flat) {
+  // Sized from the snapshot every message rather than cached behind an
+  // address compare: a new snapshot allocated where a destroyed one lived
+  // would alias such a cache. Arrays only ever grow; slots stamped for a
+  // previous topology are harmless because a fresh epoch invalidates them.
+  edge_stamps_.begin(flat.num_edge_ids());
+  if (edge_open_.size() < flat.num_edge_ids()) {
+    edge_open_.resize(flat.num_edge_ids(), 0);  // analyze:allow-hot-alloc(grow-only arena warm-up, reused across messages)
   }
-  reached_stamps_.begin(graph.num_vertices());
+  reached_stamps_.begin(flat.num_vertices());
 }
 
 ProbeContext::ProbeContext(const Topology& graph, const EdgeSampler& sampler,
@@ -28,8 +24,12 @@ ProbeContext::ProbeContext(const Topology& graph, const EdgeSampler& sampler,
     : graph_(graph), sampler_(sampler), source_(source), mode_(mode), budget_(budget),
       arena_(arena), flat_(flat), oracle_(oracle) {
   if (arena_ != nullptr) {
-    arena_->begin_message(graph_);
-    channels_ = arena_->channels_;
+    if (flat_ == nullptr) {
+      // analyze:allow-throw-safety(constructor precondition guard; surfaced via first_error)
+      throw std::invalid_argument(
+          "ProbeContext: a ProbeArena indexes a flat adjacency snapshot; pass one");
+    }
+    arena_->begin_message(*flat_);
   }
   if (mode_ == RoutingMode::kLocal) reached_insert(source_);
 }
@@ -43,7 +43,7 @@ void ProbeContext::reached_insert(VertexId v) {
   if (arena_ != nullptr) {
     arena_->reached_stamps_.stamp(v);
   } else {
-    reached_.insert(v);  // analyze:allow-hot-alloc(hash-backend reached set: the no-arena A/B baseline)
+    reached_.insert(v);  // analyze:allow-hot-alloc(key-addressed reached set: grows with what the message reaches)
   }
 }
 
@@ -66,10 +66,11 @@ std::optional<std::uint64_t> ProbeContext::remaining_budget() const {
 namespace {
 
 /// Adjacency accessors the shared probe bookkeeping is parameterized on:
-/// array loads off the CSR snapshot on the flat path, virtual dispatch (and
-/// the channel index's edge-id table) on the implicit path. One bookkeeping
-/// body + two accessor structs = the backends cannot drift.
+/// array loads off the CSR snapshot (which also names dense edge ids for
+/// the arena) on the flat path, virtual dispatch on the implicit path. One
+/// bookkeeping body + two accessor structs = the backends cannot drift.
 struct FlatAccess {
+  static constexpr bool kHasEdgeIds = true;
   const FlatAdjacency* flat;
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return flat->neighbor(v, i); }
   [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const { return flat->edge_id(v, i); }
@@ -77,16 +78,42 @@ struct FlatAccess {
 };
 
 struct VirtualAccess {
+  static constexpr bool kHasEdgeIds = false;
   const Topology* graph;
-  const ChannelIndex* channels;  // non-null only on the dense backend
   [[nodiscard]] VertexId neighbor(VertexId v, int i) const { return graph->neighbor(v, i); }
-  [[nodiscard]] std::uint32_t edge_id(VertexId v, int i) const {
-    return channels->edge_id_of(channels->channel_of(v, i));
-  }
   [[nodiscard]] EdgeKey edge_key(VertexId v, int i) const { return graph->edge_key(v, i); }
 };
 
 }  // namespace
+
+template <typename Access>
+bool ProbeContext::arena_probe(const Access& access, VertexId v, int i) {
+  // Dense backend: the memo is a flat per-edge array, live iff stamped with
+  // this message's epoch. A hit touches one cache line and computes no edge
+  // key; only a fresh probe asks the sampler.
+  const std::uint32_t edge = access.edge_id(v, i);
+  if (arena_->edge_stamps_.live(edge)) return arena_->edge_open_[edge] != 0;
+  if (budget_ && distinct_probes_ >= *budget_) {
+    throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
+  }
+  const bool open = sampler_.is_open_indexed(edge, access.edge_key(v, i));
+  arena_->edge_stamps_.stamp(edge);
+  arena_->edge_open_[edge] = open ? 1 : 0;
+  ++distinct_probes_;
+  return open;
+}
+
+bool ProbeContext::memo_probe(EdgeKey key) {
+  const auto it = memo_.find(key);
+  if (it != memo_.end()) return it->second;
+  if (budget_ && distinct_probes_ >= *budget_) {
+    throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
+  }
+  const bool open = sampler_.is_open(key);
+  memo_.emplace(key, open);  // analyze:allow-hot-alloc(key-addressed probe memo: one insert per distinct edge, grows with what the message probes)
+  ++distinct_probes_;
+  return open;
+}
 
 template <typename Access>
 bool ProbeContext::probe_with(const Access& access, VertexId v, int i) {
@@ -97,35 +124,10 @@ bool ProbeContext::probe_with(const Access& access, VertexId v, int i) {
   }
   ++total_probes_;
   bool open;
-  if (arena_ != nullptr) {
-    // Dense backend: the memo is a flat per-edge array, live iff stamped
-    // with this message's epoch. A hit touches one cache line and computes
-    // no edge key; only a fresh probe asks the sampler.
-    const std::uint32_t edge = access.edge_id(v, i);
-    if (arena_->edge_stamps_.live(edge)) {
-      open = arena_->edge_open_[edge] != 0;
-    } else {
-      if (budget_ && distinct_probes_ >= *budget_) {
-        throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
-      }
-      open = sampler_.is_open_indexed(edge, access.edge_key(v, i));
-      arena_->edge_stamps_.stamp(edge);
-      arena_->edge_open_[edge] = open ? 1 : 0;
-      ++distinct_probes_;
-    }
+  if constexpr (Access::kHasEdgeIds) {
+    open = arena_ != nullptr ? arena_probe(access, v, i) : memo_probe(access.edge_key(v, i));
   } else {
-    const EdgeKey key = access.edge_key(v, i);
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      open = it->second;
-    } else {
-      if (budget_ && distinct_probes_ >= *budget_) {
-        throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
-      }
-      open = sampler_.is_open(key);
-      memo_.emplace(key, open);  // analyze:allow-hot-alloc(hash-backend probe memo: one insert per distinct edge, the A/B baseline)
-      ++distinct_probes_;
-    }
+    open = memo_probe(access.edge_key(v, i));
   }
   if (open && mode_ == RoutingMode::kLocal) {
     // An open edge incident to the reached set extends it.
@@ -139,7 +141,7 @@ bool ProbeContext::probe_with(const Access& access, VertexId v, int i) {
 
 bool ProbeContext::probe(VertexId v, int i) {
   if (flat_ != nullptr) return probe_with(FlatAccess{flat_}, v, i);
-  return probe_with(VirtualAccess{&graph_, channels_}, v, i);
+  return probe_with(VirtualAccess{&graph_}, v, i);
 }
 
 bool ProbeContext::probe_between(VertexId a, VertexId b) {

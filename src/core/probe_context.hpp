@@ -13,7 +13,6 @@
 
 namespace faultroute {
 
-class ChannelIndex;
 class DistanceOracle;
 class FlatAdjacency;
 
@@ -43,11 +42,16 @@ class ProbeBudgetExceeded : public std::runtime_error {
 /// memo / reached set die with each message. Hash containers pay allocation
 /// and hashing for that churn on every probe of every message; the arena
 /// replaces them with two flat arrays — per-undirected-edge probe state
-/// (indexed by ChannelIndex::edge_id_of) and per-vertex reached marks —
-/// that are *epoch-stamped*: a slot is live only if its stamp equals the
-/// arena's current epoch, so "clearing" between messages is one integer
-/// increment, never a memset or an allocation. Steady-state routing through
-/// an arena does zero allocation.
+/// (indexed by FlatAdjacency::edge_id) and per-vertex reached marks — that
+/// are *epoch-stamped*: a slot is live only if its stamp equals the arena's
+/// current epoch, so "clearing" between messages is one integer increment,
+/// never a memset or an allocation. Steady-state routing through an arena
+/// does zero allocation.
+///
+/// The arena is a flat-adjacency structure: both tables are sized from the
+/// CSR snapshot the context probes through, which already holds the dense
+/// edge ids. The implicit path keeps the context's key-addressed memo, so
+/// its probe state grows with what a message touches, never with the graph.
 ///
 /// Lifecycle: create one arena per worker thread (route_all does this in
 /// parallel_index_loop's make_body), then construct a ProbeContext per
@@ -64,11 +68,10 @@ class ProbeArena {
  private:
   friend class ProbeContext;
 
-  /// Sizes the arrays for `graph` (grow-only) and starts a fresh epoch in
+  /// Sizes the arrays for `flat` (grow-only) and starts a fresh epoch in
   /// both stamp tables.
-  void begin_message(const Topology& graph);
+  void begin_message(const FlatAdjacency& flat);
 
-  const ChannelIndex* channels_ = nullptr;
   EpochStamps edge_stamps_;              // per undirected edge id
   std::vector<std::uint8_t> edge_open_;  // valid iff edge_stamps_.live(edge)
   EpochStamps reached_stamps_;           // per vertex: reached iff live (kLocal)
@@ -88,12 +91,12 @@ class ProbeArena {
 ///
 /// Two interchangeable backends hold the memo and the reached set:
 ///  * hash (default, `arena == nullptr`): per-context unordered containers
-///    keyed by EdgeKey/VertexId — self-contained, right for one-off
-///    contexts;
-///  * dense (`arena != nullptr`): epoch-stamped flat arrays indexed by the
-///    topology's ChannelIndex edge ids and by vertex id, pooled in the
-///    caller's ProbeArena — the traffic engine's hot path, zero allocation
-///    per message.
+///    keyed by EdgeKey/VertexId — self-contained, sized by what the context
+///    probes; right for one-off contexts and for implicit adjacency;
+///  * dense (`arena != nullptr`, flat adjacency only): epoch-stamped flat
+///    arrays indexed by the snapshot's edge ids and by vertex id, pooled in
+///    the caller's ProbeArena — the traffic engine's flat hot path, zero
+///    allocation per message.
 /// Every observable (probe answers, distinct/total counts, reach, budget
 /// and locality enforcement) is bit-identical across backends; the golden
 /// and equivalence suites hold the whole traffic pipeline to that.
@@ -101,8 +104,9 @@ class ProbeContext {
  public:
   /// `budget`: maximum number of distinct edges that may be probed
   /// (nullopt = unbounded). `arena`: selects the dense backend (see class
-  /// comment); the arena must outlive the context and serve only it until
-  /// the next ProbeContext takes it over. `flat`: optional CSR adjacency
+  /// comment) and requires `flat` (std::invalid_argument otherwise); the
+  /// arena must outlive the context and serve only it until the next
+  /// ProbeContext takes it over. `flat`: optional CSR adjacency
   /// snapshot of `graph` (graph/flat_adjacency.hpp); when given, probes
   /// resolve neighbor / edge key / edge id with array loads instead of
   /// virtual dispatch — a pure representation change, observable-identical
@@ -176,6 +180,11 @@ class ProbeContext {
   /// adjacency backends cannot drift.
   template <typename Access>
   bool probe_with(const Access& access, VertexId v, int i);
+  /// The memo lookup (and, on a miss, budget check + sampler query) of the
+  /// two backends: per-edge-id arena slots, or the key-addressed memo.
+  template <typename Access>
+  bool arena_probe(const Access& access, VertexId v, int i);
+  bool memo_probe(EdgeKey key);
 
   const Topology& graph_;
   const EdgeSampler& sampler_;
@@ -186,15 +195,15 @@ class ProbeContext {
   std::uint64_t distinct_probes_ = 0;
   std::uint64_t expansions_ = 0;
 
-  // Dense backend (arena_ != nullptr): pooled arrays + the channel index.
+  // Dense backend (arena_ != nullptr, which implies flat_ != nullptr).
   ProbeArena* arena_ = nullptr;
-  const ChannelIndex* channels_ = nullptr;
   // Flat adjacency snapshot (nullptr = implicit virtual path).
   const FlatAdjacency* flat_ = nullptr;
   // Cached distance oracle (nullptr = metric routers call graph.distance).
   const DistanceOracle* oracle_ = nullptr;
 
-  // Hash backend (arena_ == nullptr).
+  // Hash backend (arena_ == nullptr): grows with the edges this context
+  // probes, never with the graph.
   std::unordered_map<EdgeKey, bool> memo_;
   std::unordered_set<VertexId> reached_;  // kLocal only
 };

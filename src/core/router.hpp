@@ -25,6 +25,8 @@ class Router {
 
   virtual std::optional<Path> route(ProbeContext& ctx, VertexId u, VertexId v) = 0;
 
+  /// The router's registry name (sim::router_names()), so a printed label
+  /// can be passed back to --router.
   [[nodiscard]] virtual std::string name() const = 0;
 
   [[nodiscard]] virtual RoutingMode required_mode() const { return RoutingMode::kLocal; }

@@ -18,7 +18,7 @@ class BidirectionalBfsRouter : public Router {
  public:
   std::optional<Path> route(ProbeContext& ctx, VertexId u, VertexId v) override;
 
-  [[nodiscard]] std::string name() const override { return "bidirectional-bfs"; }
+  [[nodiscard]] std::string name() const override { return "bidirectional"; }
   [[nodiscard]] RoutingMode required_mode() const override { return RoutingMode::kOracle; }
 
  private:

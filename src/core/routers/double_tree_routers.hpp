@@ -38,7 +38,7 @@ class DoubleTreePairedOracleRouter : public Router {
   /// Requires u == tree.root1() and v == tree.root2() (or vice versa).
   std::optional<Path> route(ProbeContext& ctx, VertexId u, VertexId v) override;
 
-  [[nodiscard]] std::string name() const override { return "double-tree-paired-oracle"; }
+  [[nodiscard]] std::string name() const override { return "double-tree-oracle"; }
   [[nodiscard]] RoutingMode required_mode() const override { return RoutingMode::kOracle; }
 
  private:

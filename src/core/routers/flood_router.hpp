@@ -25,7 +25,7 @@ class FloodRouter : public Router {
   std::optional<Path> route(ProbeContext& ctx, VertexId u, VertexId v) override;
 
   [[nodiscard]] std::string name() const override {
-    return probe_target_first_ ? "flood(target-first)" : "flood";
+    return probe_target_first_ ? "flood-target-first" : "flood";
   }
 
   [[nodiscard]] bool probe_target_first() const { return probe_target_first_; }

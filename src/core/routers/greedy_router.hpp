@@ -15,7 +15,7 @@ class GreedyDescentRouter : public Router {
  public:
   std::optional<Path> route(ProbeContext& ctx, VertexId u, VertexId v) override;
 
-  [[nodiscard]] std::string name() const override { return "greedy-descent"; }
+  [[nodiscard]] std::string name() const override { return "greedy"; }
 
   [[nodiscard]] bool uses_distance_metric() const override { return true; }
 };

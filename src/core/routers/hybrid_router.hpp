@@ -22,7 +22,7 @@ class HybridGreedyRouter : public Router {
  public:
   std::optional<Path> route(ProbeContext& ctx, VertexId u, VertexId v) override;
 
-  [[nodiscard]] std::string name() const override { return "hybrid-greedy"; }
+  [[nodiscard]] std::string name() const override { return "hybrid"; }
 
   [[nodiscard]] bool uses_distance_metric() const override { return true; }
 

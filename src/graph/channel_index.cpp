@@ -5,9 +5,15 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "obs/counter_registry.hpp"
+
 namespace faultroute {
 
 ChannelIndex::ChannelIndex(const Topology& graph) : graph_(&graph) {
+  // Global counter, like graph.flat_adjacency.materializations: the index
+  // is O(vertices) to build, so a run that should pay per probe (implicit
+  // adjacency, a mapped snapshot) pins this at 0.
+  obs::global_count("graph.channel_index.builds");
   const std::uint64_t n = graph.num_vertices();
   offsets_.resize(n + 1);
   std::uint64_t total = 0;

@@ -73,14 +73,16 @@ std::string adjacency_mode_name(AdjacencyMode mode) {
 }
 
 const FlatAdjacency* resolve_adjacency(const Topology& graph, AdjacencyMode mode,
-                                       std::uint64_t auto_budget_vertices) {
+                                       std::uint64_t auto_budget_channels) {
   switch (mode) {
     case AdjacencyMode::kFlat:
       return &graph.flat_adjacency();
     case AdjacencyMode::kImplicit:
       return nullptr;
     case AdjacencyMode::kAuto:
-      if (graph.num_vertices() <= auto_budget_vertices) return &graph.flat_adjacency();
+      // Compared as num_edges() <= budget / 2 so that no edge count, however
+      // large, can overflow the doubling.
+      if (graph.num_edges() <= auto_budget_channels / 2) return &graph.flat_adjacency();
       // Falling back to virtual dispatch above budget is correct but slow;
       // count it globally so large-graph perf regressions are visible in
       // --metrics reports rather than only in wall clock.

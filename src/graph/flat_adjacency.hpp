@@ -33,8 +33,8 @@ class MappedSnapshot;
 /// to obtain one — guarantees by caching both on the topology). Memory cost:
 /// 20 bytes per directed channel on top of the index's 8 per vertex, which
 /// is why huge implicit topologies keep the virtual path: AdjacencyMode
-/// below selects per call site, and kAuto materializes only when
-/// num_vertices() fits a budget.
+/// below selects per call site, and kAuto materializes only when the
+/// directed-channel count (2·num_edges()) fits a budget.
 ///
 /// Besides the owning build above, a snapshot can be a *non-owning view*
 /// over a memory-mapped on-disk snapshot (graph/snapshot.hpp): the view
@@ -149,14 +149,17 @@ class FlatAdjacency {
 enum class AdjacencyMode {
   kFlat,      ///< always materialize (cached) — the fast path
   kImplicit,  ///< always the virtual Topology interface — huge graphs
-  kAuto,      ///< flat iff num_vertices() fits the caller's budget
+  kAuto,      ///< flat iff 2·num_edges() fits the caller's channel budget
 };
 
 /// Default kAuto materialization budget: snapshot when the graph has at most
-/// this many vertices. At constant degree d the snapshot costs ~20·2d bytes
-/// per vertex, so 2^20 vertices tops out around a few hundred MB for the
-/// densest library families — past that, stay implicit unless asked.
-inline constexpr std::uint64_t kDefaultFlatBudgetVertices = 1ull << 20;
+/// this many directed channels (2·num_edges(), read off the topology without
+/// building anything). The snapshot plus its ChannelIndex costs ~20 bytes
+/// per channel and one hash-map entry per edge to build, so 2^22 channels
+/// (2^20 vertices at mesh degree 4) is ~80 MB and well under a second; past
+/// that, a batch that probes a sliver of the graph would pay mostly for
+/// set-up, so stay implicit unless asked.
+inline constexpr std::uint64_t kDefaultFlatBudgetChannels = 1ull << 22;
 
 /// Parses "flat" / "implicit" / "auto" (throws std::invalid_argument
 /// otherwise); the inverse of adjacency_mode_name.
@@ -165,13 +168,13 @@ inline constexpr std::uint64_t kDefaultFlatBudgetVertices = 1ull << 20;
 
 /// Resolves a mode against a topology: the cached snapshot for kFlat,
 /// nullptr (= use the virtual interface) for kImplicit, and for kAuto the
-/// snapshot iff num_vertices() <= auto_budget_vertices. A kAuto fall-back
+/// snapshot iff 2·num_edges() <= auto_budget_channels. A kAuto fall-back
 /// to virtual dispatch is counted in graph.flat_adjacency.auto_fallbacks
 /// (docs/COUNTERS.md), so a sweep silently losing the CSR fast path on a
 /// large graph shows up in --metrics instead of only in wall clock.
 [[nodiscard]] const FlatAdjacency* resolve_adjacency(
     const Topology& graph, AdjacencyMode mode,
-    std::uint64_t auto_budget_vertices = kDefaultFlatBudgetVertices);
+    std::uint64_t auto_budget_channels = kDefaultFlatBudgetChannels);
 
 /// A zero-cost switchable view over the two adjacency backends, for code
 /// (routers, validators) that must run on either: CSR loads when a snapshot

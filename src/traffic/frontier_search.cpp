@@ -62,8 +62,7 @@ struct BlockMemo {
 /// step-for-step on the dense path: total++ first, then the (per-message)
 /// memo, then the budget gate, then exactly one environment lookup per
 /// distinct (message, edge) pair — so censoring fires at the identical
-/// probe and the shared cache sees the identical lookup sequence, keeping
-/// cache_hits + cache_misses == total_distinct_probes intact. Locality
+/// probe and the shared cache sees the identical lookup sequence. Locality
 /// needs no tracking here: flood only probes from dequeued (hence reached)
 /// vertices and bidirectional is an oracle router, so neither can trip the
 /// check that ProbeContext would perform.

@@ -19,8 +19,10 @@ namespace {
 /// Routing proper: every message independently through the (cached)
 /// environment. Messages are independent, so a work-stealing index loop with
 /// a fresh-per-thread router reproduces the sequential outcome exactly.
-/// Each worker owns one ProbeArena, created here in make_body and re-epoched
-/// per message, so steady-state routing allocates nothing.
+/// On the flat leg each worker owns one ProbeArena, created here in
+/// make_body and re-epoched per message, so steady-state routing allocates
+/// nothing; on the implicit leg each message keeps its probe state in its
+/// ProbeContext's key-addressed memo, sized by what it probes.
 // analyze:hot-root(routing worker body: per-message inner loop of every sweep)
 void route_all(const Topology& graph, const EdgeSampler& env,
                const RouterFactory& make_router, const std::shared_ptr<Router>& prototype,
@@ -51,7 +53,8 @@ void route_all(const Topology& graph, const EdgeSampler& env,
         unclaimed.exchange(nullptr, std::memory_order_acq_rel) != nullptr
             ? prototype
             : make_router();
-    const std::shared_ptr<ProbeArena> arena = std::make_shared<ProbeArena>();
+    const std::shared_ptr<ProbeArena> arena =
+        flat != nullptr ? std::make_shared<ProbeArena>() : nullptr;
     // The worker's whole routing stint is one span on its own track; the
     // body closure (and with it the scope) is destroyed on the worker
     // thread when the worker drains, closing the span there.
@@ -106,18 +109,26 @@ std::vector<RoutedJourney> route_and_validate(
   // --adjacency A/B switch compares whole routing phases. An externally
   // provided snapshot (config.flat_snapshot — e.g. an mmap view from a
   // snapshot directory) short-circuits materialization for every mode but
-  // kImplicit, which stays a pure virtual-dispatch A/B leg.
-  const FlatAdjacency* flat =
-      config.adjacency == AdjacencyMode::kImplicit
-          ? nullptr
-          : (config.flat_snapshot != nullptr
-                 ? config.flat_snapshot
-                 : resolve_adjacency(graph, config.adjacency));
+  // kImplicit, which stays a pure virtual-dispatch A/B leg. Each leg then
+  // sizes its state from what it holds: the flat leg from the snapshot's
+  // edge ids, the implicit leg from the edges the batch probes — nothing
+  // here asks the topology for a whole-graph index.
+  const FlatAdjacency* flat = nullptr;
+  {
+    const obs::PhaseProfiler::Scope adjacency_scope(profiler, "adjacency");
+    if (config.adjacency != AdjacencyMode::kImplicit) {
+      flat = config.flat_snapshot != nullptr ? config.flat_snapshot
+                                             : resolve_adjacency(graph, config.adjacency);
+    }
+  }
   const AdjacencyView adj(graph, flat);
 
   std::optional<SharedProbeCache> cache;
   const EdgeSampler* env = &sampler;
-  if (config.use_shared_cache) env = &cache.emplace(sampler, graph);
+  if (config.use_shared_cache) {
+    const obs::PhaseProfiler::Scope cache_scope(profiler, "shared-cache");
+    env = flat != nullptr ? &cache.emplace(sampler, *flat) : &cache.emplace(sampler, graph);
+  }
   // FrontierMode::kBatch (flat path only): classify the batch's router via
   // one prototype — factories hand out identically-behaving routers, that is
   // what makes thread-parallel routing legal in the first place. Flood and
@@ -157,14 +168,9 @@ std::vector<RoutedJourney> route_and_validate(
                 result.outcomes, paths);
     }
   }
-  // Hit/miss totals are exact, not approximate, in this pipeline: the
-  // per-message memo means each cache ever sees one lookup per (message,
-  // edge), so hits + misses == total_distinct_probes and misses ==
-  // unique_edges_probed, deterministically (see TrafficResult::cache_hits).
   if (cache) {
     result.unique_edges_probed = cache->unique_edges();
-    result.cache_hits = cache->approx_hits();
-    result.cache_misses = cache->approx_misses();
+    result.cache_misses = cache->unique_edges();
   }
 
   // Validate paths and resolve every hop's incident slot.
@@ -211,6 +217,11 @@ std::vector<RoutedJourney> route_and_validate(
     journey.path = std::move(path);
     ++result.routed;
   }
+  // The per-message memo means the cache sees exactly one lookup per
+  // (message, edge), so every distinct probe that was not a miss was a hit:
+  // hits + misses == total_distinct_probes by definition, with no counter
+  // on the lookup path (see TrafficResult::cache_hits).
+  if (cache) result.cache_hits = result.total_distinct_probes - result.cache_misses;
   return journeys;
 }
 

@@ -8,8 +8,8 @@
 namespace faultroute::detail {
 
 /// One message's routed journey in topology-slot form: hop k leaves vertex
-/// `path[k]` through incident slot `slots[k]` (so the channel of the hop is
-/// recoverable both as a ChannelIndex id and as an (edge key, tail) pair).
+/// `path[k]` through incident slot `slots[k]`, so the (tail, slot) pair
+/// names the hop's directed channel on either adjacency leg.
 /// Empty for messages that did not survive routing/validation.
 struct RoutedJourney {
   Path path;               // simplified, validated vertex walk

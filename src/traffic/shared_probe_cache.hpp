@@ -3,61 +3,74 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <vector>
 
+#include "graph/flat_adjacency.hpp"
 #include "graph/topology.hpp"
 #include "percolation/edge_sampler.hpp"
 
 namespace faultroute {
-
-class ChannelIndex;
 
 /// A concurrency-safe memoising layer over an EdgeSampler, shared by every
 /// message of a traffic batch.
 ///
 /// Single-pair routing pays the full discovery cost of its environment; a
 /// batch of concurrent messages probing one shared environment should not.
-/// The cache records the answer the first time any message probes an edge,
-/// so the *environment* cost of a batch is the number of distinct edges
-/// probed by the union of all messages — per-message cost amortises toward
-/// zero as the batch grows and working sets overlap. This is the traffic
-/// engine's key hot-path optimisation.
+/// The cache records the first time any message probes an edge, so the
+/// *environment* cost of a batch is the number of distinct edges probed by
+/// the union of all messages — per-message cost amortises toward zero as
+/// the batch grows and working sets overlap. Each adjacency leg of the
+/// routing phase keys the record by what it already holds:
 ///
-/// Storage is one atomic byte per undirected edge of the topology, indexed
-/// by the dense edge ids of its ChannelIndex, holding a tri-state:
-/// unknown / closed / open. A probe is a single relaxed-free array load —
-/// no mutex, no hashing, no node allocation (the pre-rewrite cache was 64
-/// mutex-sharded unordered_maps, a lock acquisition plus a hash walk per
-/// probe). Unknown slots are resolved by querying the base sampler
-/// *outside* any critical section and publishing the answer with a CAS.
+///  * **edge-id addressed** (constructed over a FlatAdjacency): one atomic
+///    byte per undirected edge of the snapshot, indexed by its dense edge
+///    ids, holding a tri-state unknown / closed / open. A probe is a single
+///    relaxed array load — no mutex, no hashing, no node allocation.
+///    Unknown slots are resolved by querying the base sampler *outside* any
+///    critical section and publishing the answer with a CAS.
+///  * **key addressed** (constructed over the Topology alone): a lock-striped
+///    set of the edge keys discovered so far, so its memory grows with the
+///    edges the batch probes and nothing is sized from the graph — a
+///    2^30-vertex hypercube costs nothing until it is probed. Answers come
+///    straight from the (pure) base sampler; the set is the record of
+///    discovery.
 ///
 /// Correctness under threads: the underlying sampler is a deterministic
 /// pure function of the edge key, so two threads racing to resolve the same
-/// edge compute the same value — whichever CAS wins publishes it, the loser
-/// discards a byte-identical duplicate, and every quantity derived from
-/// probe *answers* is bit-identical across thread counts. So is
-/// `unique_edges()`: the set of published edges depends only on which edges
-/// the batch probes, never on the interleaving. The hit/miss counters are
-/// exact in total (every probe is exactly one hit or one miss, and a miss
-/// is counted only by the CAS winner, so hits + misses == probe calls and
-/// misses == unique_edges()); only the attribution of any single racing
-/// probe to hit-vs-miss is decided by the race.
+/// edge compute the same value — whichever CAS (or set insertion) wins
+/// records it, the loser's answer is byte-identical, and every quantity
+/// derived from probe *answers* is bit-identical across thread counts. So
+/// is `unique_edges()`: the set of recorded edges depends only on which
+/// edges the batch probes, never on the interleaving (a miss is counted only
+/// by the thread that publishes it). There is deliberately no hit counter:
+/// one shared atomic incremented on every lookup is contended by every
+/// worker, and the routing phase derives hits exactly as distinct probes −
+/// misses (see TrafficResult::cache_hits).
 class SharedProbeCache final : public EdgeSampler {
  public:
-  /// `base` must outlive the cache and be thread-safe under const access
-  /// (all library samplers are; they are pure functions of the edge key).
-  /// `graph` is the topology whose edges will be probed — its ChannelIndex
-  /// supplies the dense edge-id space backing the state array.
+  /// Key-addressed cache. `base` must outlive the cache and be thread-safe
+  /// under const access (all library samplers are; they are pure functions
+  /// of the edge key). `graph` is the topology whose edges will be probed;
+  /// nothing is sized or built from it.
   SharedProbeCache(const EdgeSampler& base, const Topology& graph);
 
-  /// Returns the cached answer, querying (and caching) `base` on first
-  /// touch. Resolves `key` to its dense edge id by scanning the incident
-  /// slots of one endpoint — O(degree), for callers that hold only a key;
-  /// the routing hot path holds ids and goes through is_open_indexed.
+  /// Edge-id-addressed cache over `flat`'s dense undirected-edge ids (a
+  /// materialized CSR or a mapped snapshot view, which must outlive the
+  /// cache). Costs one byte per edge of the snapshot, allocated up front.
+  SharedProbeCache(const EdgeSampler& base, const FlatAdjacency& flat);
+
+  /// Returns the answer for `key`, recording its discovery on first touch.
+  /// On an edge-id-addressed cache this resolves `key` to its dense id by
+  /// scanning one endpoint's snapshot row — O(degree), for callers that
+  /// hold only a key; the flat routing hot path goes through
+  /// is_open_indexed.
   [[nodiscard]] bool is_open(EdgeKey key) const override;
 
-  /// The O(1) entry point: one atomic array load on a hit. `edge_id` must
-  /// be `key`'s id under the constructor topology's ChannelIndex (the dense
-  /// ProbeContext backend passes exactly that).
+  /// The O(1) entry point of an edge-id-addressed cache: one atomic array
+  /// load on a hit. `edge_id` must be `key`'s id in the constructor
+  /// snapshot (FlatAdjacency::edge_id; the dense ProbeContext backend
+  /// passes exactly that). A key-addressed cache ignores the id.
   [[nodiscard]] bool is_open_indexed(std::uint32_t edge_id, EdgeKey key) const override;
 
   [[nodiscard]] double survival_probability() const override {
@@ -65,18 +78,9 @@ class SharedProbeCache final : public EdgeSampler {
   }
 
   /// Number of distinct edges whose state has been discovered — the batch's
-  /// total environment-discovery cost. Deterministic across thread counts.
+  /// total environment-discovery cost, and the cache's exact miss count.
+  /// Deterministic across thread counts.
   [[nodiscard]] std::uint64_t unique_edges() const {
-    return misses_.load(std::memory_order_relaxed);
-  }
-
-  /// Exact probe counters: hits + misses == is_open* calls, and misses ==
-  /// unique_edges() (a miss is counted only on actual publication, never by
-  /// the loser of a resolution race).
-  [[nodiscard]] std::uint64_t approx_hits() const {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t approx_misses() const {
     return misses_.load(std::memory_order_relaxed);
   }
 
@@ -84,14 +88,35 @@ class SharedProbeCache final : public EdgeSampler {
   static constexpr std::uint8_t kUnknown = 0;
   static constexpr std::uint8_t kClosed = 1;
   static constexpr std::uint8_t kOpen = 2;
+  static constexpr unsigned kStripeBits = 6;
+
+  /// The free-slot marker of the stripes' open-addressing tables. It is
+  /// also a legal edge key, so a stripe records that one key in a flag.
+  static constexpr EdgeKey kNoKey = ~EdgeKey{0};
+
+  /// One lock stripe of the key-addressed record: an open-addressing set of
+  /// keys (linear probing, power-of-two table at most half full), so a
+  /// first touch costs one cache line, not a node allocation. Cache-line
+  /// aligned so two workers locking neighbouring stripes do not share one.
+  struct alignas(64) Stripe {
+    std::mutex mutex;
+    std::vector<EdgeKey> slots;  // kNoKey = free
+    std::size_t size = 0;
+    bool holds_no_key = false;
+  };
+
+  /// Adds `key` (hashed to `hash`) to `stripe`, whose lock the caller holds;
+  /// true iff it was not recorded yet.
+  static bool record(Stripe& stripe, EdgeKey key, std::uint64_t hash);
 
   const EdgeSampler& base_;
-  const Topology& graph_;
-  const ChannelIndex& channels_;
-  /// Tri-state per undirected edge id; unique_ptr because atomics are
-  /// neither copyable nor movable (std::vector would demand both).
+  /// Edge-id addressed (flat_ != nullptr): the snapshot and a tri-state per
+  /// undirected edge id; unique_ptr because atomics are neither copyable
+  /// nor movable (std::vector would demand both).
+  const FlatAdjacency* flat_ = nullptr;
   std::unique_ptr<std::atomic<std::uint8_t>[]> states_;
-  mutable std::atomic<std::uint64_t> hits_{0};
+  /// Key addressed (flat_ == nullptr): 2^kStripeBits stripes.
+  std::unique_ptr<Stripe[]> stripes_;
   mutable std::atomic<std::uint64_t> misses_{0};
 };
 

@@ -8,8 +8,8 @@
 #include <utility>
 
 #include "core/edge_load.hpp"
-#include "graph/channel_index.hpp"
 #include "obs/run_metrics.hpp"
+#include "random/splitmix64.hpp"
 #include "traffic/routing_phase.hpp"
 
 namespace faultroute {
@@ -18,6 +18,68 @@ namespace {
 
 /// Sentinel for "no message" in the intrusive per-channel FIFOs.
 constexpr std::uint32_t kNoMessage = std::numeric_limits<std::uint32_t>::max();
+
+/// First-appearance numbering of the directed channels a batch's journeys
+/// use, keyed by (tail vertex, incident slot). Ids are dense in [0, size())
+/// in order of first use, so every per-channel array of the delivery phase
+/// is sized by the channels the batch touches — never by the graph, which
+/// may have 10^11 of them. Open addressing with linear probing over a
+/// power-of-two table kept at most half full; grows by doubling.
+class ChannelNumbering {
+ public:
+  ChannelNumbering() { rehash(1024); }
+
+  /// The id of the channel out of `tail` through `slot`, assigning the
+  /// next id on first sight.
+  std::uint32_t id_of(VertexId tail, int slot) {
+    const auto s = static_cast<std::uint32_t>(slot);
+    for (std::size_t pos = home(tail, s);; pos = (pos + 1) & mask_) {
+      Entry& entry = table_[pos];
+      if (entry.slot == kEmpty) {
+        const auto id = static_cast<std::uint32_t>(channels_.size());
+        entry = Entry{tail, s, id};
+        channels_.emplace_back(tail, slot);  // analyze:allow-hot-alloc(one append per distinct channel of the batch)
+        if (2 * channels_.size() > table_.size()) rehash(2 * table_.size());
+        return id;
+      }
+      if (entry.tail == tail && entry.slot == s) return entry.id;
+    }
+  }
+
+  [[nodiscard]] std::size_t size() const { return channels_.size(); }
+  /// (tail, slot) of channel `id`.
+  [[nodiscard]] const std::pair<VertexId, int>& channel(std::uint32_t id) const {
+    return channels_[id];
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  struct Entry {
+    VertexId tail = 0;
+    std::uint32_t slot = kEmpty;
+    std::uint32_t id = 0;
+  };
+
+  [[nodiscard]] std::size_t home(VertexId tail, std::uint32_t slot) const {
+    return static_cast<std::size_t>(mix64(tail * 0x9E3779B97F4A7C15ull + slot)) & mask_;
+  }
+
+  void rehash(std::size_t capacity) {
+    table_.assign(capacity, Entry{});  // analyze:allow-hot-alloc(doubling growth, O(log channels) times per batch)
+    mask_ = capacity - 1;
+    for (std::uint32_t id = 0; id < channels_.size(); ++id) {
+      const auto [tail, slot] = channels_[id];
+      const auto s = static_cast<std::uint32_t>(slot);
+      std::size_t pos = home(tail, s);
+      while (table_[pos].slot != kEmpty) pos = (pos + 1) & mask_;
+      table_[pos] = Entry{tail, s, id};
+    }
+  }
+
+  std::vector<Entry> table_;
+  std::size_t mask_ = 0;
+  std::vector<std::pair<VertexId, int>> channels_;  // by id
+};
 
 /// Harvests a finished run's aggregate fields into `metrics`'s counter
 /// registry under the traffic.* namespace (routing partition, probe/cache
@@ -82,11 +144,13 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // admitted to their next channel queue
   // in ascending-id order, then every non-empty channel transmits up to
   // `edge_capacity` messages, which arrive at the far endpoint next step.
-  const ChannelIndex& index = graph.channel_index();
-  result.channels = index.num_channels();
+  result.channels = 2 * graph.num_edges();
 
   // Journeys compiled flat: one uint32 channel id per hop, all hops
   // concatenated; per message a [cursor, end) window into the flat array.
+  // Channel ids are assigned in first-appearance order over the journeys in
+  // message order — a pure function of the routed paths, identical on both
+  // adjacency legs, and sized by the channels the batch uses.
   std::optional<obs::PhaseProfiler::Scope> compile_scope;
   compile_scope.emplace(profiler, "compile");
   std::uint64_t total_hops = 0;
@@ -95,18 +159,17 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   hop_channel.reserve(total_hops);  // analyze:allow-hot-alloc(per-batch journey compilation, reserved to total hops)
   std::vector<std::uint64_t> hop_cursor(messages.size(), 0);  // analyze:allow-hot-alloc(per-batch journey compilation)
   std::vector<std::uint64_t> hop_end(messages.size(), 0);  // analyze:allow-hot-alloc(per-batch journey compilation)
-  // channel_of is pure offset arithmetic over the same prefix-sum table the
-  // flat snapshot borrows, so compiling against the index is already
-  // compiling against the snapshot — no adjacency-mode branch needed here.
+  ChannelNumbering numbering;
   for (std::size_t i = 0; i < messages.size(); ++i) {
     hop_cursor[i] = hop_channel.size();
     const auto& journey = journeys[i];
     for (std::size_t step = 0; step < journey.slots.size(); ++step) {
       // analyze:allow-hot-alloc(fills the reservation above)
-      hop_channel.push_back(index.channel_of(journey.path[step], journey.slots[step]));
+      hop_channel.push_back(numbering.id_of(journey.path[step], journey.slots[step]));
     }
     hop_end[i] = hop_channel.size();
   }
+  const std::size_t num_channels = numbering.size();
   compile_scope.reset();
   std::optional<obs::PhaseProfiler::Scope> delivery_scope;
   delivery_scope.emplace(profiler, "delivery");
@@ -129,14 +192,14 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // allocation ever happens inside the simulation loop, and queue state is
   // bounded by (channels + messages) by construction — drained-queue leak of
   // the container-based engine is impossible.
-  std::vector<std::uint32_t> queue_head(index.num_channels(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
-  std::vector<std::uint32_t> queue_tail(index.num_channels(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
+  std::vector<std::uint32_t> queue_head(num_channels, kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
+  std::vector<std::uint32_t> queue_tail(num_channels, kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
   std::vector<std::uint32_t> next_in_queue(messages.size(), kNoMessage);  // analyze:allow-hot-alloc(per-batch queue state sized once)
   std::vector<std::uint32_t> active;  // channels with a non-empty queue
 
   // Per-channel transmission counts, accumulated densely; `used` remembers
   // first touches so aggregation never scans the whole channel space.
-  std::vector<std::uint64_t> channel_load(index.num_channels(), 0);  // analyze:allow-hot-alloc(per-batch load accumulators sized once)
+  std::vector<std::uint64_t> channel_load(num_channels, 0);  // analyze:allow-hot-alloc(per-batch load accumulators sized once)
   std::vector<std::uint32_t> used_channels;
 
   // Two-bucket calendar: a hop costs exactly one step, so every transmission
@@ -233,7 +296,16 @@ TrafficResult run_traffic(const Topology& graph, const EdgeSampler& sampler,
   // ------------------------------------------------------------- aggregation
   delivery_scope.reset();
   const obs::PhaseProfiler::Scope aggregate_scope(profiler, "aggregate");
-  const EdgeLoadStats congestion = summarize_channel_load(index, channel_load, used_channels);
+  // Edge load pools both directions of each used edge under its key; only
+  // the used channels' keys are ever computed.
+  std::vector<std::pair<EdgeKey, std::uint64_t>> keyed_loads;
+  keyed_loads.reserve(used_channels.size());  // analyze:allow-hot-alloc(per-batch aggregation, reserved to used channels)
+  for (const std::uint32_t channel : used_channels) {
+    const auto [tail, slot] = numbering.channel(channel);
+    // analyze:allow-hot-alloc(fills the reservation above)
+    keyed_loads.emplace_back(graph.edge_key(tail, slot), channel_load[channel]);
+  }
+  const EdgeLoadStats congestion = summarize_channel_load(keyed_loads);
   result.transmissions = congestion.total;
   result.max_edge_load = congestion.max_load;
   result.edges_used = congestion.edges_used;

@@ -63,19 +63,20 @@ struct TrafficConfig {
   /// Adjacency backend for routing, validation, and journey compilation:
   /// kFlat resolves every neighbor / edge-key / edge-id query through the
   /// topology's CSR snapshot (Topology::flat_adjacency()), kImplicit through
-  /// the virtual interface, kAuto picks flat iff num_vertices() fits
-  /// kDefaultFlatBudgetVertices (~20 bytes per directed channel once,
+  /// the virtual interface, kAuto picks flat iff the 2·num_edges() directed
+  /// channels fit kDefaultFlatBudgetChannels (~20 bytes per channel once,
   /// cached). Outcomes and counters are bit-identical across modes
   /// (tests/test_flat_adjacency.cpp and the golden replays in
-  /// tests/test_traffic_golden.cpp); flat is faster and implicit needs no
-  /// per-graph memory, so leave it on auto.
+  /// tests/test_traffic_golden.cpp); flat is faster per probe, and implicit
+  /// builds nothing — its probe state, shared cache, and delivery state all
+  /// grow with what the batch touches — so leave it on auto.
   AdjacencyMode adjacency = AdjacencyMode::kAuto;
   /// When non-null, the routing phase resolves flat-adjacency queries
   /// through this externally provided snapshot — typically a memory-mapped
   /// view opened from a snapshot directory (graph/snapshot.hpp /
   /// open_snapshot_adjacency) — instead of materializing one via
   /// resolve_adjacency. Honoured for every adjacency mode except kImplicit,
-  /// *including* kAuto above the vertex budget: a mapped view costs no
+  /// *including* kAuto above the channel budget: a mapped view costs no
   /// build, so the materialization budget does not apply and huge graphs
   /// keep the CSR fast path. Must describe the same topology (bit-identical
   /// results are pinned by tests/test_snapshot.cpp) and outlive the run.
@@ -131,9 +132,10 @@ struct TrafficResult {
   std::uint64_t unique_edges_probed = 0;
   /// SharedProbeCache hit/miss split of the batch's distinct probes. Exact
   /// and deterministic despite concurrent routing: ProbeContext memoises per
-  /// message, so the cache sees each (message, edge) pair once, giving
-  /// cache_hits + cache_misses == total_distinct_probes and
-  /// cache_misses == unique_edges_probed. Both 0 when use_shared_cache is
+  /// message, so the cache sees each (message, edge) pair once. Misses are
+  /// the edges the cache published (cache_misses == unique_edges_probed),
+  /// and every other distinct probe was a hit, so cache_hits is defined as
+  /// total_distinct_probes - cache_misses. Both 0 when use_shared_cache is
   /// off.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -163,15 +165,16 @@ struct TrafficResult {
   }
 
   // Delivery-engine introspection (see docs/ARCHITECTURE.md). These expose
-  // the event-driven simulator's work and footprint: its state is O(channels
-  // + messages) arrays, never a function of simulated time, so long-horizon
-  // runs cost steps but not memory.
+  // the event-driven simulator's work and footprint: its state is O(used
+  // channels + messages) arrays, never a function of simulated time or of
+  // the graph's size, so long-horizon runs cost steps but not memory.
   std::uint64_t sim_steps = 0;          ///< timeline steps executed (idle gaps skipped)
   std::uint64_t admission_events = 0;   ///< queue admissions, incl. one per hop taken
   std::uint64_t transmissions = 0;      ///< channel transmit events (== summed edge load)
   std::uint64_t peak_active_channels = 0;  ///< most channels simultaneously queued
-  /// Directed channels of the topology's ChannelIndex (2·edges for simple
-  /// graphs); the size of the engine's per-channel state.
+  /// Directed channels of the topology: 2·num_edges(), one per direction of
+  /// every undirected edge (parallel edges included). Read off the topology,
+  /// never built; the engine's per-channel state covers only the used ones.
   std::uint64_t channels = 0;
 
   std::vector<MessageOutcome> outcomes;  // indexed by message id
@@ -190,12 +193,13 @@ struct TrafficResult {
 /// through per-channel FIFO queues with `edge_capacity` transmissions per
 /// directed channel per timestep. Simultaneous queue admissions are ordered
 /// by message id, making the whole simulation deterministic. The phase is
-/// event-driven over the topology's dense ChannelIndex: journeys compile to
-/// flat channel-id arrays, arrivals flow through a two-bucket calendar (one
-/// hop costs exactly one step, so only the next step is ever scheduled, and
-/// injection gaps are skipped by cursor), and per-channel FIFOs are intrusive
-/// lists threaded through a single per-message `next` array — state is
-/// O(channels + messages), independent of simulated time.
+/// event-driven over dense channel ids numbered in first-appearance order
+/// over the journeys: journeys compile to flat channel-id arrays, arrivals
+/// flow through a two-bucket calendar (one hop costs exactly one step, so
+/// only the next step is ever scheduled, and injection gaps are skipped by
+/// cursor), and per-channel FIFOs are intrusive lists threaded through a
+/// single per-message `next` array — state is O(used channels + messages),
+/// independent of simulated time and of the graph's size.
 ///
 /// Preconditions (all guaranteed by generate_workload): message ids are the
 /// dense indices 0..messages.size()-1 in vector order, inject_times are

@@ -1,16 +1,19 @@
 // Dense probe-state suite.
 //
-// The routing phase keeps all probe state dense over ChannelIndex edge ids:
-// one epoch-stamped ProbeArena per worker, reused across that worker's
-// messages, optionally backed by the lock-free tri-state SharedProbeCache.
-// The sampler is a deterministic function of the edge key, so neither the
+// On the flat adjacency leg the routing phase keeps all probe state dense
+// over the snapshot's edge ids: one epoch-stamped ProbeArena per worker,
+// reused across that worker's messages, optionally backed by the lock-free
+// tri-state SharedProbeCache. On the implicit leg the same roles are played
+// by each ProbeContext's key-addressed memo and the key-addressed cache. The
+// sampler is a deterministic function of the edge key, so neither the
 // cache nor the assignment of messages to workers may change anything a run
 // reports except the cache's own counters. These tests hold cached and
 // uncached runs, and 1-worker and 4-worker runs, equal on every aggregate
 // and per-message outcome across a topology × router × workload matrix
 // (local and oracle modes, budgets, parallel edges), and pin the cache's
-// counter identities: hits + misses == probe calls and misses ==
-// unique_edges().
+// counter identities: misses == unique_edges() == distinct edges probed,
+// and, on a TrafficResult, cache_hits + cache_misses ==
+// total_distinct_probes.
 
 #include <gtest/gtest.h>
 
@@ -20,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "graph/channel_index.hpp"
+#include "graph/flat_adjacency.hpp"
 #include "graph/hypercube.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "random/rng.hpp"
@@ -136,62 +139,69 @@ TEST(DenseProbeState, ArenaReuseIsIndependentOfWorkerAssignment) {
     const TrafficResult four = run_case(spec, /*shared_cache=*/true, 4);
     expect_same_routing_and_delivery(one, four, label_of(spec) + " threads 1 vs 4");
     EXPECT_EQ(one.unique_edges_probed, four.unique_edges_probed) << label_of(spec);
+    // The TrafficResult identities: misses are the published edges, hits
+    // every other distinct probe.
+    for (const TrafficResult* r : {&one, &four}) {
+      EXPECT_EQ(r->cache_misses, r->unique_edges_probed) << label_of(spec);
+      EXPECT_EQ(r->cache_hits + r->cache_misses, r->total_distinct_probes) << label_of(spec);
+    }
   }
 }
 
 // --------------------------------------------------- SharedProbeCache counters
 
-TEST(SharedProbeCacheCounters, HitsPlusMissesEqualsProbesUnderThreadRaces) {
+TEST(SharedProbeCacheCounters, MissesEqualDistinctEdgesUnderThreadRaces) {
   // Eight threads hammer the same edge set concurrently, so first-probe
-  // races are plentiful. Every call must land in exactly one counter, and a
-  // miss only on actual publication: hits + misses == calls and misses ==
-  // unique_edges() == the edge count. A cache that counts a miss for both
-  // racers of a first probe breaks both identities.
+  // races are plentiful, on both the edge-id-addressed and the key-addressed
+  // cache. A miss is counted only on actual publication, so misses ==
+  // unique_edges() == the edge count; a cache that counts a miss for both
+  // racers of a first probe breaks that. Every answer must be the base
+  // sampler's.
   const Hypercube g(8);
   const HashEdgeSampler base(0.5, 3);
-  const SharedProbeCache cache(base, g);
-  constexpr int kThreads = 8;
-  constexpr int kRounds = 3;
-  std::atomic<std::uint64_t> calls{0};
-  std::vector<std::thread> pool;
-  pool.reserve(kThreads);
-  for (int w = 0; w < kThreads; ++w) {
-    pool.emplace_back([&] {
-      std::uint64_t local_calls = 0;
-      for (int round = 0; round < kRounds; ++round) {
-        for (VertexId v = 0; v < g.num_vertices(); ++v) {
-          for (int i = 0; i < g.degree(v); ++i) {
-            (void)cache.is_open(g.edge_key(v, i));
-            ++local_calls;
+  const SharedProbeCache indexed(base, g.flat_adjacency());
+  const SharedProbeCache keyed(base, g);
+  for (const SharedProbeCache* cache : {&indexed, &keyed}) {
+    constexpr int kThreads = 8;
+    constexpr int kRounds = 3;
+    std::atomic<std::uint64_t> wrong{0};
+    std::vector<std::thread> pool;
+    pool.reserve(kThreads);
+    for (int w = 0; w < kThreads; ++w) {
+      pool.emplace_back([&] {
+        for (int round = 0; round < kRounds; ++round) {
+          for (VertexId v = 0; v < g.num_vertices(); ++v) {
+            for (int i = 0; i < g.degree(v); ++i) {
+              const EdgeKey key = g.edge_key(v, i);
+              if (cache->is_open(key) != base.is_open(key)) wrong.fetch_add(1);
+            }
           }
         }
-      }
-      calls.fetch_add(local_calls);
-    });
+      });
+    }
+    for (auto& t : pool) t.join();
+    EXPECT_EQ(wrong.load(), 0U);
+    EXPECT_EQ(cache->unique_edges(), g.num_edges());
   }
-  for (auto& t : pool) t.join();
-  EXPECT_EQ(cache.approx_hits() + cache.approx_misses(), calls.load());
-  EXPECT_EQ(cache.approx_misses(), cache.unique_edges());
-  EXPECT_EQ(cache.unique_edges(), g.num_edges());
 }
 
 TEST(SharedProbeCacheCounters, SequentialCountsAreExact) {
   const Hypercube g(5);
   const HashEdgeSampler base(0.5, 9);
-  const SharedProbeCache cache(base, g);
-  // First sweep: every probe is a miss. Second sweep: every probe is a hit,
-  // from either endpoint (both directions resolve to the same edge id).
+  const FlatAdjacency& flat = g.flat_adjacency();
+  const SharedProbeCache indexed(base, flat);
+  const SharedProbeCache keyed(base, g);
+  // One sweep over both directions of every edge: the first direction is a
+  // miss, the reverse one (same edge id, same key) is not.
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (int i = 0; i < g.degree(v); ++i) {
-      const std::uint32_t edge = g.channel_index().edge_id_of(
-          g.channel_index().channel_of(v, i));
-      (void)cache.is_open_indexed(edge, g.edge_key(v, i));
+      (void)indexed.is_open_indexed(flat.edge_id(v, i), g.edge_key(v, i));
+      (void)keyed.is_open(g.edge_key(v, i));
     }
+    EXPECT_EQ(indexed.unique_edges(), keyed.unique_edges()) << "after vertex " << v;
   }
-  // 2E probes over E edges: E misses (first touch) + E hits (reverse side).
-  EXPECT_EQ(cache.approx_misses(), g.num_edges());
-  EXPECT_EQ(cache.approx_hits(), g.num_edges());
-  EXPECT_EQ(cache.unique_edges(), g.num_edges());
+  EXPECT_EQ(indexed.unique_edges(), g.num_edges());
+  EXPECT_EQ(keyed.unique_edges(), g.num_edges());
 }
 
 }  // namespace

@@ -117,11 +117,19 @@ TEST(FlatAdjacency, EdgeIndexOfMatchesTopologyOverload) {
 }
 
 TEST(FlatAdjacency, ResolveAdjacencyHonoursModeAndBudget) {
-  const Hypercube cube(5);  // 32 vertices
+  const Hypercube cube(5);  // 32 vertices, 80 edges, 160 directed channels
   EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kFlat), &cube.flat_adjacency());
   EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kImplicit), nullptr);
-  EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kAuto, 32), &cube.flat_adjacency());
-  EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kAuto, 31), nullptr);
+  EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kAuto, 160), &cube.flat_adjacency());
+  EXPECT_EQ(resolve_adjacency(cube, AdjacencyMode::kAuto, 159), nullptr);
+  // The default budget is 2^22 channels: torus:2:64 (16,384 channels) and
+  // complete:512 (261,632) stay flat; hypercube:19 (9,961,472) goes implicit
+  // and is never built to find that out.
+  EXPECT_EQ(kDefaultFlatBudgetChannels, 1ULL << 22);
+  const auto big = sim::make_topology("hypercube:19");
+  EXPECT_EQ(resolve_adjacency(*big, AdjacencyMode::kAuto), nullptr);
+  EXPECT_NE(resolve_adjacency(*sim::make_topology("complete:512"), AdjacencyMode::kAuto),
+            nullptr);
 }
 
 TEST(FlatAdjacency, ModeNamesRoundTripAndRejectGarbage) {
@@ -139,9 +147,10 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
   const auto graph = sim::make_topology("butterfly:3");
   const FlatAdjacency& flat = graph->flat_adjacency();
   const HashEdgeSampler env(0.6, 99);
-  // Drive an identical probe sequence through all four backend combinations
-  // (hash/dense probe state x flat/implicit adjacency) and hold every
-  // answer and counter equal.
+  // Drive an identical probe sequence through the three backend
+  // combinations (hash probe state over flat or implicit adjacency, dense
+  // probe state over flat — the arena indexes the snapshot's edge ids, so it
+  // has no implicit form) and hold every answer and counter equal.
   const auto drive = [&](ProbeArena* arena, const FlatAdjacency* snapshot) {
     ProbeContext ctx(*graph, env, 0, RoutingMode::kOracle, std::nullopt, arena, snapshot);
     std::vector<bool> answers;
@@ -154,20 +163,18 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
     answers.push_back(ctx.probe_between(0, graph->neighbor(0, 0)));
     // Every slot probed twice, plus the probe_between; distinct counts each
     // undirected edge once however many slots address it.
-    EXPECT_EQ(ctx.total_probes(),
-              2ull * graph->channel_index().num_channels() + 1);
-    EXPECT_EQ(ctx.distinct_probes(), graph->channel_index().num_edge_ids());
+    EXPECT_EQ(ctx.total_probes(), 2ull * flat.num_channels() + 1);
+    EXPECT_EQ(ctx.distinct_probes(), flat.num_edge_ids());
     return std::make_pair(answers, ctx.distinct_probes());
   };
-  ProbeArena arena_a;
-  ProbeArena arena_b;
+  ProbeArena arena;
   const auto implicit_hash = drive(nullptr, nullptr);
   const auto flat_hash = drive(nullptr, &flat);
-  const auto implicit_dense = drive(&arena_a, nullptr);
-  const auto flat_dense = drive(&arena_b, &flat);
+  const auto flat_dense = drive(&arena, &flat);
   EXPECT_EQ(implicit_hash, flat_hash);
-  EXPECT_EQ(implicit_hash, implicit_dense);
   EXPECT_EQ(implicit_hash, flat_dense);
+  EXPECT_THROW(ProbeContext(*graph, env, 0, RoutingMode::kOracle, std::nullopt, &arena),
+               std::invalid_argument);
   EXPECT_EQ(flat.graph().num_vertices(), graph->num_vertices());
 }
 
@@ -184,6 +191,15 @@ void expect_identical(const TrafficResult& a, const TrafficResult& b,
   EXPECT_EQ(a.stranded, b.stranded) << label;
   EXPECT_EQ(a.total_distinct_probes, b.total_distinct_probes) << label;
   EXPECT_EQ(a.unique_edges_probed, b.unique_edges_probed) << label;
+  // The flat leg's edge-id-addressed cache and the implicit leg's
+  // key-addressed one must count alike, and both obey the TrafficResult
+  // identities.
+  EXPECT_EQ(a.cache_hits, b.cache_hits) << label;
+  EXPECT_EQ(a.cache_misses, b.cache_misses) << label;
+  for (const TrafficResult* r : {&a, &b}) {
+    EXPECT_EQ(r->cache_misses, r->unique_edges_probed) << label;
+    EXPECT_EQ(r->cache_hits + r->cache_misses, r->total_distinct_probes) << label;
+  }
   EXPECT_EQ(a.max_edge_load, b.max_edge_load) << label;
   EXPECT_EQ(a.mean_edge_load, b.mean_edge_load) << label;  // exact: same doubles
   EXPECT_EQ(a.edges_used, b.edges_used) << label;

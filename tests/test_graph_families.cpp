@@ -13,6 +13,7 @@
 #include "graph/explicit_graph.hpp"
 #include "graph/shuffle_exchange.hpp"
 #include "helpers/topology_checks.hpp"
+#include "sim/registry.hpp"
 
 namespace faultroute {
 namespace {
@@ -283,6 +284,7 @@ TEST(ChannelIndex, DenseContiguousAndInvertibleAcrossFamilies) {
       degree_sum += static_cast<std::uint64_t>(g.degree(v));
     }
     EXPECT_EQ(index.num_channels(), degree_sum) << g.name();
+    EXPECT_EQ(index.num_channels(), 2 * g.num_edges()) << g.name();
 
     std::uint32_t expected = 0;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -296,6 +298,13 @@ TEST(ChannelIndex, DenseContiguousAndInvertibleAcrossFamilies) {
         EXPECT_EQ(index.edge_of(channel), g.edge_key(v, i)) << g.name();
       }
     }
+  }
+  // The traffic engine reports `channels` and kAuto budgets the CSR as
+  // 2·num_edges() without building the index; that is only sound if the
+  // index, where it is built, agrees for every family the registry makes.
+  for (const std::string& spec : sim::topology_spec_examples()) {
+    const auto g = sim::make_topology(spec);
+    EXPECT_EQ(g->channel_index().num_channels(), 2 * g->num_edges()) << spec;
   }
 }
 

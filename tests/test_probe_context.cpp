@@ -6,6 +6,7 @@
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
 #include "graph/epoch_stamps.hpp"
+#include "graph/flat_adjacency.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
@@ -139,6 +140,11 @@ TEST(ProbeContext, ProbeBetweenFindsTheEdge) {
 class ProbeContextBackends : public ::testing::TestWithParam<bool> {
  protected:
   ProbeArena* arena_for() { return GetParam() ? &arena_ : nullptr; }
+  /// The dense backend indexes the flat snapshot's edge ids; the hash
+  /// backend runs over implicit adjacency.
+  const FlatAdjacency* flat_for(const Topology& g) const {
+    return GetParam() ? &g.flat_adjacency() : nullptr;
+  }
 
  private:
   ProbeArena arena_;
@@ -153,7 +159,7 @@ TEST_P(ProbeContextBackends, BudgetZeroThrowsOnTheVeryFirstFreshProbe) {
   const Hypercube g(4);
   const HashEdgeSampler s(1.0, 1);
   for (const RoutingMode mode : {RoutingMode::kLocal, RoutingMode::kOracle}) {
-    ProbeContext ctx(g, s, 0, mode, /*budget=*/0, arena_for());
+    ProbeContext ctx(g, s, 0, mode, /*budget=*/0, arena_for(), flat_for(g));
     EXPECT_EQ(ctx.remaining_budget(), 0u);
     EXPECT_THROW(ctx.probe(0, 0), ProbeBudgetExceeded);
     // The rejected probe still counted as a call, but discovered nothing.
@@ -166,7 +172,7 @@ TEST_P(ProbeContextBackends, ExactlyAtBudgetSucceedsAndOneMoreThrows) {
   const Hypercube g(4);
   const HashEdgeSampler s(1.0, 1);
   for (const RoutingMode mode : {RoutingMode::kLocal, RoutingMode::kOracle}) {
-    ProbeContext ctx(g, s, 0, mode, /*budget=*/4, arena_for());
+    ProbeContext ctx(g, s, 0, mode, /*budget=*/4, arena_for(), flat_for(g));
     for (int i = 0; i < 4; ++i) EXPECT_NO_THROW(ctx.probe(0, i));  // spends it all
     EXPECT_EQ(ctx.distinct_probes(), 4u);
     EXPECT_EQ(ctx.remaining_budget(), 0u);
@@ -184,7 +190,7 @@ TEST_P(ProbeContextBackends, RemainingBudgetIsConsistentWithTheThrowCondition) {
   const Hypercube g(4);
   const HashEdgeSampler s(0.7, 5);
   constexpr std::uint64_t kBudget = 6;
-  ProbeContext ctx(g, s, 0, RoutingMode::kOracle, kBudget, arena_for());
+  ProbeContext ctx(g, s, 0, RoutingMode::kOracle, kBudget, arena_for(), flat_for(g));
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (int i = 0; i < g.degree(v); ++i) {
       const std::uint64_t before = ctx.distinct_probes();
@@ -205,7 +211,7 @@ TEST_P(ProbeContextBackends, RemainingBudgetIsConsistentWithTheThrowCondition) {
 TEST_P(ProbeContextBackends, UnboundedBudgetReportsNullopt) {
   const Hypercube g(3);
   const HashEdgeSampler s(1.0, 1);
-  ProbeContext ctx(g, s, 0, RoutingMode::kOracle, std::nullopt, arena_for());
+  ProbeContext ctx(g, s, 0, RoutingMode::kOracle, std::nullopt, arena_for(), flat_for(g));
   EXPECT_EQ(ctx.remaining_budget(), std::nullopt);
   ctx.probe(0, 0);
   EXPECT_EQ(ctx.remaining_budget(), std::nullopt);
@@ -238,7 +244,8 @@ TEST(ProbeArena, EpochBumpIsolatesMessagesWithoutLeakingState) {
   const HashEdgeSampler s(1.0, 9);
   ProbeArena arena;
   {
-    ProbeContext first(g, s, 0, RoutingMode::kLocal, std::nullopt, &arena);
+    ProbeContext first(g, s, 0, RoutingMode::kLocal, std::nullopt, &arena,
+                       &g.flat_adjacency());
     first.probe(0, 0);
     first.probe(0, 1);
     EXPECT_EQ(first.distinct_probes(), 2u);
@@ -247,7 +254,8 @@ TEST(ProbeArena, EpochBumpIsolatesMessagesWithoutLeakingState) {
   // Same arena, next message: the previous memo and reached set must be
   // invisible — the same edges count as distinct again, and vertex 1 is no
   // longer reached (only the new source is).
-  ProbeContext second(g, s, 2, RoutingMode::kLocal, std::nullopt, &arena);
+  ProbeContext second(g, s, 2, RoutingMode::kLocal, std::nullopt, &arena,
+                      &g.flat_adjacency());
   EXPECT_EQ(second.distinct_probes(), 0u);
   EXPECT_FALSE(second.is_reached(1));
   EXPECT_TRUE(second.is_reached(2));
@@ -264,17 +272,20 @@ TEST(ProbeArena, SurvivesTopologySwitches) {
   const HashEdgeSampler s(1.0, 3);
   ProbeArena arena;
   {
-    ProbeContext ctx(cube, s, 0, RoutingMode::kLocal, std::nullopt, &arena);
+    ProbeContext ctx(cube, s, 0, RoutingMode::kLocal, std::nullopt, &arena,
+                     &cube.flat_adjacency());
     ctx.probe(0, 0);
     EXPECT_EQ(ctx.distinct_probes(), 1u);
   }
   {
-    ProbeContext ctx(mesh, s, 0, RoutingMode::kLocal, std::nullopt, &arena);
+    ProbeContext ctx(mesh, s, 0, RoutingMode::kLocal, std::nullopt, &arena,
+                     &mesh.flat_adjacency());
     EXPECT_EQ(ctx.distinct_probes(), 0u);
     EXPECT_TRUE(ctx.probe_between(0, 1));
     EXPECT_TRUE(ctx.is_reached(1));
   }
-  ProbeContext back(cube, s, 1, RoutingMode::kOracle, std::nullopt, &arena);
+  ProbeContext back(cube, s, 1, RoutingMode::kOracle, std::nullopt, &arena,
+                    &cube.flat_adjacency());
   back.probe(1, 0);
   EXPECT_EQ(back.distinct_probes(), 1u);
 }
@@ -287,7 +298,8 @@ TEST(ProbeContext, DenseAndHashBackendsAgreeOnEveryObservable) {
   const HashEdgeSampler s(0.6, 31);
   ProbeArena arena;
   ProbeContext hash(g, s, 0, RoutingMode::kLocal);
-  ProbeContext dense(g, s, 0, RoutingMode::kLocal, std::nullopt, &arena);
+  ProbeContext dense(g, s, 0, RoutingMode::kLocal, std::nullopt, &arena,
+                     &g.flat_adjacency());
   std::uint64_t frontier = 0;  // walk outward along whatever opens
   for (int round = 0; round < 40; ++round) {
     const VertexId v = frontier;

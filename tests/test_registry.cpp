@@ -81,6 +81,17 @@ TEST(RegistryRouter, EveryAdvertisedNameConstructsOnItsTopology) {
   }
 }
 
+TEST(RegistryRouter, NameIsTheRegistryName) {
+  // `route` prints router->name(); it must be a label --router accepts.
+  const auto cube = make_topology("hypercube:6");
+  const auto tree = make_topology("double_tree:4");
+  for (const auto& name : router_names()) {
+    const Topology& host =
+        name.rfind("double-tree", 0) == 0 ? *tree : *cube;
+    EXPECT_EQ(make_router(name, host)->name(), name);
+  }
+}
+
 TEST(RegistryRouter, RejectsUnknownNameListingKnownOnes) {
   const Hypercube cube(4);
   try {

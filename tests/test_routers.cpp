@@ -88,7 +88,7 @@ TEST_P(GenericRouterTest, PercolatedMeshConnectedPairsAlwaysRouted) {
   // Completeness: whenever ground truth says u ~ v, the router finds a path.
   const Mesh g(2, 10);
   Router& r = *GetParam().router;
-  if (r.name() == "greedy-descent") GTEST_SKIP();
+  if (r.name() == "greedy") GTEST_SKIP();
   int connected_cases = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const HashEdgeSampler s(0.6, seed);

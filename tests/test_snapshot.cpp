@@ -300,12 +300,16 @@ TEST(Snapshot, ScenarioOverSnapshotDirIsByteIdenticalAndMaterializesNothing) {
     write_snapshot(snapshot_path(dir.string(), topo), topo, graph->flat_adjacency());
   }
   const std::uint64_t built_before = global_counter("graph.flat_adjacency.materializations");
+  const std::uint64_t indexed_before = global_counter("graph.channel_index.builds");
   spec.snapshot_dir = dir.string();
   const std::string warm = run_report(spec);
   EXPECT_EQ(warm, cold);
   // The warm run resolved both topologies from the mapped snapshots: the
-  // runner's own graphs never materialized an owning FlatAdjacency.
+  // runner's own graphs never materialized an owning FlatAdjacency, and no
+  // part of the run (probe arenas, shared cache, delivery) built a
+  // whole-graph ChannelIndex either.
   EXPECT_EQ(global_counter("graph.flat_adjacency.materializations"), built_before);
+  EXPECT_EQ(global_counter("graph.channel_index.builds"), indexed_before);
 }
 
 TEST(Snapshot, ScenarioWithCorruptSnapshotFailsTheRun) {
@@ -328,13 +332,13 @@ TEST(Snapshot, ScenarioWithCorruptSnapshotFailsTheRun) {
 // --------------------------------------------------- kAuto fallback counter
 
 TEST(Snapshot, AutoFallbackPastBudgetIsCounted) {
-  const auto graph = sim::make_topology("hypercube:7");  // 128 vertices
+  const auto graph = sim::make_topology("hypercube:7");  // 896 directed channels
   const std::uint64_t before = global_counter("graph.flat_adjacency.auto_fallbacks");
   // Within budget: resolves the cached snapshot, no fallback counted.
-  EXPECT_NE(resolve_adjacency(*graph, AdjacencyMode::kAuto, 128), nullptr);
+  EXPECT_NE(resolve_adjacency(*graph, AdjacencyMode::kAuto, 896), nullptr);
   EXPECT_EQ(global_counter("graph.flat_adjacency.auto_fallbacks"), before);
   // Past budget: virtual dispatch, counted.
-  EXPECT_EQ(resolve_adjacency(*graph, AdjacencyMode::kAuto, 127), nullptr);
+  EXPECT_EQ(resolve_adjacency(*graph, AdjacencyMode::kAuto, 895), nullptr);
   EXPECT_EQ(global_counter("graph.flat_adjacency.auto_fallbacks"), before + 1);
 }
 

@@ -14,7 +14,9 @@
 #include "core/routers/greedy_router.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
+#include "obs/counter_registry.hpp"
 #include "percolation/edge_sampler.hpp"
+#include "sim/registry.hpp"
 #include "traffic/shared_probe_cache.hpp"
 #include "traffic/traffic_engine.hpp"
 #include "traffic/workload.hpp"
@@ -173,18 +175,23 @@ TEST(Workload, DeterministicInSeed) {
 // ------------------------------------------------------- SharedProbeCache
 
 TEST(SharedProbeCache, TransparentOverBaseSampler) {
+  // Key-addressed (topology only) and edge-id-addressed (over the flat
+  // snapshot) caches alike.
   const Hypercube g(6);
   const HashEdgeSampler base(0.5, 77);
-  const SharedProbeCache cache(base, g);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (int i = 0; i < g.degree(v); ++i) {
-      const EdgeKey key = g.edge_key(v, i);
-      EXPECT_EQ(cache.is_open(key), base.is_open(key));
-      EXPECT_EQ(cache.is_open(key), base.is_open(key));  // cached path
+  const SharedProbeCache keyed(base, g);
+  const SharedProbeCache indexed(base, g.flat_adjacency());
+  for (const SharedProbeCache* cache : {&keyed, &indexed}) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      for (int i = 0; i < g.degree(v); ++i) {
+        const EdgeKey key = g.edge_key(v, i);
+        EXPECT_EQ(cache->is_open(key), base.is_open(key));
+        EXPECT_EQ(cache->is_open(key), base.is_open(key));  // cached path
+      }
     }
+    EXPECT_EQ(cache->unique_edges(), g.num_edges());
+    EXPECT_EQ(cache->survival_probability(), base.survival_probability());
   }
-  EXPECT_EQ(cache.unique_edges(), g.num_edges());
-  EXPECT_EQ(cache.survival_probability(), base.survival_probability());
 }
 
 TEST(SharedProbeCache, ConsistentUnderConcurrentProbing) {
@@ -209,6 +216,37 @@ TEST(SharedProbeCache, ConsistentUnderConcurrentProbing) {
 }
 
 // ----------------------------------------------------------- traffic engine
+
+std::uint64_t global_counter(const std::string& name) {
+  for (const auto& entry : obs::global_registry().snapshot()) {
+    if (entry.name == name) return entry.value;
+  }
+  return 0;
+}
+
+TEST(TrafficEngine, HugeHypercubePaysPerProbeNotPerVertex) {
+  // 2^33 vertices, 2.8·10^11 directed channels: far past the kAuto budget
+  // and past 32-bit channel ids. The default adjacency must route, cache and
+  // deliver from what the batch touches, building no whole-graph structure.
+  const auto g = sim::make_topology("hypercube:33");
+  const HashEdgeSampler env(0.9, 5);
+  WorkloadConfig workload = sim::make_workload("random-pairs");
+  workload.messages = 8;
+  workload.seed = 3;
+  const auto messages = generate_workload(*g, workload);
+  const auto factory = [&]() { return sim::make_router("landmark", *g); };
+  const std::uint64_t indexed = global_counter("graph.channel_index.builds");
+  const std::uint64_t built = global_counter("graph.flat_adjacency.materializations");
+  const TrafficResult r = run_traffic(*g, env, factory, messages, TrafficConfig{});
+  EXPECT_EQ(global_counter("graph.channel_index.builds"), indexed);
+  EXPECT_EQ(global_counter("graph.flat_adjacency.materializations"), built);
+  EXPECT_EQ(r.channels, 2 * g->num_edges());
+  EXPECT_EQ(r.channels, 283467841536ULL);
+  EXPECT_EQ(r.routed, 8U);
+  EXPECT_EQ(r.delivered, 8U);
+  EXPECT_GT(r.unique_edges_probed, 0U);
+  EXPECT_EQ(r.cache_hits + r.cache_misses, r.total_distinct_probes);
+}
 
 TrafficResult run_hypercube_batch(unsigned threads, bool shared_cache = true) {
   const Hypercube g(8);

@@ -159,6 +159,16 @@ class Args {
     }
     return *value;
   }
+  /// A probability flag (--p, --lo, --hi): a number in [0, 1], checked
+  /// here so the error names the flag rather than the sampler.
+  [[nodiscard]] double probability(const std::string& key, double fallback) const {
+    const double value = get_double(key, fallback);
+    if (!(value >= 0.0 && value <= 1.0)) {
+      throw std::invalid_argument("--" + key + " must be a probability in [0, 1], got '" +
+                                  get(key, "") + "'");
+    }
+    return value;
+  }
   [[nodiscard]] std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
     const auto it = find(key);
     if (it == values_.end()) return fallback;
@@ -293,7 +303,7 @@ void default_pair(const Topology& graph, VertexId& u, VertexId& v) {
 
 int cmd_route(const Args& args) {
   const auto graph = sim::make_topology(args.require("topology"));
-  const double p = args.get_double("p", 0.5);
+  const double p = args.probability("p", 0.5);
   const auto router = sim::make_router(args.get("router", "landmark"), *graph);
   const std::uint64_t seed = args.get_u64("seed", 2005);
   VertexId u;
@@ -340,7 +350,7 @@ int cmd_route(const Args& args) {
 
 int cmd_components(const Args& args) {
   const auto graph = sim::make_topology(args.require("topology"));
-  const double p = args.get_double("p", 0.5);
+  const double p = args.probability("p", 0.5);
   const std::uint64_t seed = args.get_u64("seed", 2005);
   ObsSink sink(args, "components");
   ComponentSummary summary;
@@ -373,14 +383,15 @@ int cmd_threshold(const Args& args) {
   config.trials_per_point = args.trials(6);
   config.tolerance = args.get_double("tolerance", 0.005);
   config.seed = args.get_u64("seed", 2005);
+  const double lo = args.probability("lo", 0.02);
+  const double hi = args.probability("hi", 0.98);
   ObsSink sink(args, "threshold");
   double pc = 0.0;
   {
     const obs::PhaseProfiler::Scope scope(
         sink.metrics() ? &sink.metrics()->profiler() : nullptr, "threshold");
     const auto order = largest_cluster_order(*graph, adjacency_of(args));
-    pc = estimate_threshold(order, args.get_double("lo", 0.02), args.get_double("hi", 0.98),
-                            config);
+    pc = estimate_threshold(order, lo, hi, config);
   }
   std::cout << graph->name() << ": giant-component threshold ~ " << pc
             << " (order parameter crosses " << config.target_fraction << ")\n";
@@ -390,7 +401,7 @@ int cmd_threshold(const Args& args) {
 
 int cmd_trials(const Args& args) {
   const auto graph = sim::make_topology(args.require("topology"));
-  const double p = args.get_double("p", 0.5);
+  const double p = args.probability("p", 0.5);
   const std::string router_name = args.get("router", "landmark");
   VertexId u;
   VertexId v;
@@ -435,7 +446,7 @@ int cmd_trials(const Args& args) {
 
 int cmd_permutation(const Args& args) {
   const auto graph = sim::make_topology(args.require("topology"));
-  const double p = args.get_double("p", 0.5);
+  const double p = args.probability("p", 0.5);
   const std::string router_name = args.get("router", "landmark");
   const std::uint64_t seed = args.get_u64("seed", 2005);
 
@@ -478,7 +489,7 @@ int cmd_permutation(const Args& args) {
 
 int cmd_traffic(const Args& args) {
   const auto graph = sim::make_topology(args.require("topology"));
-  const double p = args.get_double("p", 0.5);
+  const double p = args.probability("p", 0.5);
   const std::string router_name = args.get("router", "landmark");
   const std::uint64_t seed = args.get_u64("seed", 2005);
 
