@@ -1,6 +1,6 @@
 #include "core/path.hpp"
 
-#include <unordered_map>
+#include "graph/key_slots.hpp"
 
 namespace faultroute {
 
@@ -42,16 +42,19 @@ bool is_valid_open_path(const AdjacencyView& adj, const EdgeSampler& sampler,
 // analyze:allow-hot-alloc(simplify_walk materializes one output path per message; state is bounded by walk length)
 Path simplify_walk(const Path& walk) {
   Path out;
-  std::unordered_map<VertexId, std::size_t> position;  // vertex -> index in out
   out.reserve(walk.size());
+  // vertex -> index in out where it was last recorded. Cutting a loop
+  // leaves the entries of the dropped vertices behind (lazy deletion): a
+  // recorded position j for v is live iff j < out.size() && out[j] == v.
+  KeySlots<> position;
+  position.reserve(walk.size());
   for (const VertexId v : walk) {
-    const auto it = position.find(v);
-    if (it != position.end()) {
+    std::uint64_t j = 0;
+    if (position.find(v, j) && j < out.size() && out[j] == v) {
       // Cut the loop: drop everything after the first occurrence of v.
-      for (std::size_t i = it->second + 1; i < out.size(); ++i) position.erase(out[i]);
-      out.resize(it->second + 1);
+      out.resize(j + 1);
     } else {
-      position.emplace(v, out.size());
+      position.assign(v, out.size());
       out.push_back(v);
     }
   }

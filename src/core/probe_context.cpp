@@ -5,16 +5,21 @@
 
 namespace faultroute {
 
-void ProbeArena::begin_message(const FlatAdjacency& flat) {
+void ProbeArena::begin_message(const FlatAdjacency* flat) {
+  if (flat == nullptr) {
+    memo_keys_.clear();
+    reached_keys_.clear();
+    return;
+  }
   // Sized from the snapshot every message rather than cached behind an
   // address compare: a new snapshot allocated where a destroyed one lived
   // would alias such a cache. Arrays only ever grow; slots stamped for a
   // previous topology are harmless because a fresh epoch invalidates them.
-  edge_stamps_.begin(flat.num_edge_ids());
-  if (edge_open_.size() < flat.num_edge_ids()) {
-    edge_open_.resize(flat.num_edge_ids(), 0);  // analyze:allow-hot-alloc(grow-only arena warm-up, reused across messages)
+  edge_stamps_.begin(flat->num_edge_ids());
+  if (edge_open_.size() < flat->num_edge_ids()) {
+    edge_open_.resize(flat->num_edge_ids(), 0);  // analyze:allow-hot-alloc(grow-only arena warm-up, reused across messages)
   }
-  reached_stamps_.begin(flat.num_vertices());
+  reached_stamps_.begin(flat->num_vertices());
 }
 
 ProbeContext::ProbeContext(const Topology& graph, const EdgeSampler& sampler,
@@ -23,27 +28,22 @@ ProbeContext::ProbeContext(const Topology& graph, const EdgeSampler& sampler,
                            const FlatAdjacency* flat, const DistanceOracle* oracle)
     : graph_(graph), sampler_(sampler), source_(source), mode_(mode), budget_(budget),
       arena_(arena), flat_(flat), oracle_(oracle) {
-  if (arena_ != nullptr) {
-    if (flat_ == nullptr) {
-      // analyze:allow-throw-safety(constructor precondition guard; surfaced via first_error)
-      throw std::invalid_argument(
-          "ProbeContext: a ProbeArena indexes a flat adjacency snapshot; pass one");
-    }
-    arena_->begin_message(*flat_);
-  }
+  if (arena_ != nullptr) arena_->begin_message(flat_);
   if (mode_ == RoutingMode::kLocal) reached_insert(source_);
 }
 
 bool ProbeContext::reached_contains(VertexId v) const {
-  if (arena_ != nullptr) return arena_->reached_stamps_.live(v);
-  return reached_.contains(v);
+  if (arena_ == nullptr) return reached_.contains(v);
+  return flat_ != nullptr ? arena_->reached_stamps_.live(v) : arena_->reached_keys_.contains(v);
 }
 
 void ProbeContext::reached_insert(VertexId v) {
-  if (arena_ != nullptr) {
+  if (arena_ == nullptr) {
+    reached_.insert(v);  // analyze:allow-hot-alloc(hash backend: grows with what a one-off context reaches)
+  } else if (flat_ != nullptr) {
     arena_->reached_stamps_.stamp(v);
   } else {
-    reached_.insert(v);  // analyze:allow-hot-alloc(key-addressed reached set: grows with what the message reaches)
+    arena_->reached_keys_.emplace(v, true);
   }
 }
 
@@ -67,8 +67,9 @@ namespace {
 
 /// Adjacency accessors the shared probe bookkeeping is parameterized on:
 /// array loads off the CSR snapshot (which also names dense edge ids for
-/// the arena) on the flat path, virtual dispatch on the implicit path. One
-/// bookkeeping body + two accessor structs = the backends cannot drift.
+/// the arena's flat arrays) on the flat path, virtual dispatch on the
+/// implicit path. One bookkeeping body + two accessor structs = the
+/// backends cannot drift.
 struct FlatAccess {
   static constexpr bool kHasEdgeIds = true;
   const FlatAdjacency* flat;
@@ -104,13 +105,25 @@ bool ProbeContext::arena_probe(const Access& access, VertexId v, int i) {
 }
 
 bool ProbeContext::memo_probe(EdgeKey key) {
-  const auto it = memo_.find(key);
-  if (it != memo_.end()) return it->second;
+  if (arena_ != nullptr) {
+    bool known = false;
+    if (arena_->memo_keys_.find(key, known)) return known;
+  } else {
+    const auto it = memo_.find(key);
+    if (it != memo_.end()) return it->second;
+  }
   if (budget_ && distinct_probes_ >= *budget_) {
     throw ProbeBudgetExceeded("probe budget exhausted");  // analyze:allow-throw-safety(probe-budget censoring signal, caught per message by the engine)
   }
   const bool open = sampler_.is_open(key);
-  memo_.emplace(key, open);  // analyze:allow-hot-alloc(key-addressed probe memo: one insert per distinct edge, grows with what the message probes)
+  if (arena_ != nullptr) {
+    arena_->memo_keys_.emplace(key, open);
+    if (arena_->log_discoveries_) {
+      arena_->discovered_.push_back(key);  // analyze:allow-hot-alloc(per-worker discovery buffer: grows to one flush batch, then reused)
+    }
+  } else {
+    memo_.emplace(key, open);  // analyze:allow-hot-alloc(hash backend: one insert per distinct edge of a one-off context)
+  }
   ++distinct_probes_;
   return open;
 }

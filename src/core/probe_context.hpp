@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/epoch_stamps.hpp"
+#include "graph/key_slots.hpp"
 #include "graph/topology.hpp"
 #include "percolation/edge_sampler.hpp"
 
@@ -36,45 +37,60 @@ class ProbeBudgetExceeded : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Pooled per-thread storage for the dense ProbeContext backend.
+/// Pooled per-thread probe state for ProbeContext, on either adjacency leg.
 ///
 /// A batch routes many messages on one topology, and the per-message probe
-/// memo / reached set die with each message. Hash containers pay allocation
-/// and hashing for that churn on every probe of every message; the arena
-/// replaces them with two flat arrays — per-undirected-edge probe state
-/// (indexed by FlatAdjacency::edge_id) and per-vertex reached marks — that
-/// are *epoch-stamped*: a slot is live only if its stamp equals the arena's
-/// current epoch, so "clearing" between messages is one integer increment,
-/// never a memset or an allocation. Steady-state routing through an arena
-/// does zero allocation.
+/// memo / reached set die with each message. Node-based hash containers pay
+/// an allocation per distinct probe for that churn; the arena keeps both
+/// tables alive across messages and *epoch-clears* them instead: a slot is
+/// live only if its stamp equals the table's current epoch, so "clearing"
+/// between messages is one integer increment, never a memset or an
+/// allocation. Steady-state routing through an arena allocates nothing.
+/// What the tables are indexed by depends on the leg the context probes:
 ///
-/// The arena is a flat-adjacency structure: both tables are sized from the
-/// CSR snapshot the context probes through, which already holds the dense
-/// edge ids. The implicit path keeps the context's key-addressed memo, so
-/// its probe state grows with what a message touches, never with the graph.
+///  * flat (the context has a CSR snapshot): flat arrays indexed by the
+///    snapshot's dense edge ids (the memo) and vertex ids (the reached
+///    set), behind EpochStamps;
+///  * implicit (no snapshot): KeySlots addressed by edge key and vertex id,
+///    so the state grows with what a message touches, never with the graph.
+///
+/// On the implicit leg an arena constructed with `log_discoveries` also
+/// appends the key of every memo miss (an edge the message probes for the
+/// first time) to discovered(), in probe order; the owner drains it (the
+/// traffic engine flushes it into a SharedProbeCache in batches).
 ///
 /// Lifecycle: create one arena per worker thread (route_all does this in
 /// parallel_index_loop's make_body), then construct a ProbeContext per
-/// message with a pointer to it. The ProbeContext constructor bumps the
+/// message with a pointer to it. The ProbeContext constructor opens a fresh
 /// epoch, invalidating every slot the previous message stamped. At most one
 /// ProbeContext may use an arena at a time (they share the same slots);
 /// arenas are not thread-safe and must not be shared across threads.
 class ProbeArena {
  public:
-  ProbeArena() = default;
+  explicit ProbeArena(bool log_discoveries = false) : log_discoveries_(log_discoveries) {}
   ProbeArena(const ProbeArena&) = delete;
   ProbeArena& operator=(const ProbeArena&) = delete;
+
+  /// Keys of the implicit leg's memo misses since the owner last cleared
+  /// it; always empty unless constructed with `log_discoveries`.
+  [[nodiscard]] std::vector<EdgeKey>& discovered() { return discovered_; }
 
  private:
   friend class ProbeContext;
 
-  /// Sizes the arrays for `flat` (grow-only) and starts a fresh epoch in
-  /// both stamp tables.
-  void begin_message(const FlatAdjacency& flat);
+  /// Opens a fresh epoch in the tables of `flat`'s leg (the flat arrays,
+  /// sized grow-only for `flat`, or the key slots when it is nullptr).
+  void begin_message(const FlatAdjacency* flat);
 
+  // Flat leg.
   EpochStamps edge_stamps_;              // per undirected edge id
   std::vector<std::uint8_t> edge_open_;  // valid iff edge_stamps_.live(edge)
   EpochStamps reached_stamps_;           // per vertex: reached iff live (kLocal)
+  // Implicit leg.
+  KeySlots<bool> memo_keys_;     // edge key -> open
+  KeySlots<bool> reached_keys_;  // reached vertices (kLocal)
+  bool log_discoveries_;
+  std::vector<EdgeKey> discovered_;
 };
 
 /// The probing interface a routing algorithm sees, and the referee that
@@ -92,21 +108,21 @@ class ProbeArena {
 /// Two interchangeable backends hold the memo and the reached set:
 ///  * hash (default, `arena == nullptr`): per-context unordered containers
 ///    keyed by EdgeKey/VertexId — self-contained, sized by what the context
-///    probes; right for one-off contexts and for implicit adjacency;
-///  * dense (`arena != nullptr`, flat adjacency only): epoch-stamped flat
-///    arrays indexed by the snapshot's edge ids and by vertex id, pooled in
-///    the caller's ProbeArena — the traffic engine's flat hot path, zero
-///    allocation per message.
+///    probes; right for one-off contexts, and the Definition-2 reference
+///    the pooled backend is tested against;
+///  * arena (`arena != nullptr`): the caller's pooled, epoch-cleared
+///    ProbeArena — flat arrays indexed by the snapshot's edge ids and vertex
+///    ids when `flat` is given, key slots otherwise. This is the traffic
+///    engine's hot path on both legs: zero allocation per message.
 /// Every observable (probe answers, distinct/total counts, reach, budget
 /// and locality enforcement) is bit-identical across backends; the golden
 /// and equivalence suites hold the whole traffic pipeline to that.
 class ProbeContext {
  public:
   /// `budget`: maximum number of distinct edges that may be probed
-  /// (nullopt = unbounded). `arena`: selects the dense backend (see class
-  /// comment) and requires `flat` (std::invalid_argument otherwise); the
-  /// arena must outlive the context and serve only it until the next
-  /// ProbeContext takes it over. `flat`: optional CSR adjacency
+  /// (nullopt = unbounded). `arena`: selects the arena backend (see class
+  /// comment); the arena must outlive the context and serve only it until
+  /// the next ProbeContext takes it over. `flat`: optional CSR adjacency
   /// snapshot of `graph` (graph/flat_adjacency.hpp); when given, probes
   /// resolve neighbor / edge key / edge id with array loads instead of
   /// virtual dispatch — a pure representation change, observable-identical
@@ -181,7 +197,8 @@ class ProbeContext {
   template <typename Access>
   bool probe_with(const Access& access, VertexId v, int i);
   /// The memo lookup (and, on a miss, budget check + sampler query) of the
-  /// two backends: per-edge-id arena slots, or the key-addressed memo.
+  /// backends: per-edge-id arena slots, or the key-addressed memo (arena
+  /// key slots or the hash backend's map).
   template <typename Access>
   bool arena_probe(const Access& access, VertexId v, int i);
   bool memo_probe(EdgeKey key);
@@ -195,7 +212,7 @@ class ProbeContext {
   std::uint64_t distinct_probes_ = 0;
   std::uint64_t expansions_ = 0;
 
-  // Dense backend (arena_ != nullptr, which implies flat_ != nullptr).
+  // Arena backend (arena_ != nullptr): flat arrays iff flat_ != nullptr.
   ProbeArena* arena_ = nullptr;
   // Flat adjacency snapshot (nullptr = implicit virtual path).
   const FlatAdjacency* flat_ = nullptr;

@@ -1,12 +1,13 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/epoch_stamps.hpp"
 #include "graph/flat_adjacency.hpp"
+#include "graph/key_slots.hpp"
 #include "graph/topology.hpp"
 
 namespace faultroute {
@@ -14,35 +15,36 @@ namespace faultroute {
 /// Interchangeable visited/parent mark backends for breadth-first searches.
 /// Every BFS in the library — the fault-free metric, the percolation
 /// analyses, the search routers — is written once over a marks type: dense
-/// vertex-indexed arrays where the vertex space can be materialized, a
-/// self-contained hash map where it cannot. Marks never influence traversal
-/// order — only membership and parent recall — so the two backends produce
-/// bit-identical searches.
+/// vertex-indexed arrays where the vertex space can be materialized, pooled
+/// key slots (graph/key_slots.hpp) where it cannot. Marks never influence
+/// traversal order — only membership and parent recall — so the two
+/// backends produce bit-identical searches.
 
-/// Hash-backed marks: per-search unordered_map, works on any implicit graph.
+/// Key-addressed marks: pooled KeySlots, works on any implicit graph.
+/// Like the dense arrays, the table persists across searches and is
+/// emptied by an epoch bump, so steady-state searching through a pooled
+/// instance allocates nothing.
 class HashMarks {
  public:
   /// Empties the marks for a fresh search (the vertex count is ignored;
-  /// it exists so search loops can be generic over both backends). Bucket
-  /// capacity persists across searches, like the dense arrays.
-  void begin(std::uint64_t /*num_vertices*/) { map_.clear(); }
+  /// it exists so search loops can be generic over both backends).
+  void begin(std::uint64_t /*num_vertices*/) { slots_.clear(); }
 
-  [[nodiscard]] bool contains(VertexId v) const { return map_.contains(v); }
-  [[nodiscard]] VertexId at(VertexId v) const { return map_.at(v); }
-  /// Single-probe contains + at.
-  [[nodiscard]] bool lookup(VertexId v, VertexId& out) const {
-    const auto it = map_.find(v);
-    if (it == map_.end()) return false;
-    out = it->second;
-    return true;
+  [[nodiscard]] bool contains(VertexId v) const { return slots_.contains(v); }
+  /// The mark of v, which must be marked.
+  [[nodiscard]] VertexId at(VertexId v) const {
+    VertexId out = 0;
+    [[maybe_unused]] const bool marked = slots_.find(v, out);
+    assert(marked);
+    return out;
   }
+  /// Single-probe contains + at.
+  [[nodiscard]] bool lookup(VertexId v, VertexId& out) const { return slots_.find(v, out); }
   /// Inserts v -> value; returns false (and leaves the mark) if v is marked.
-  // analyze:allow-hot-alloc(HashMarks is the implicit-adjacency fallback; DenseMarks pools instead)
-  bool emplace(VertexId v, VertexId value) { return map_.emplace(v, value).second; }
+  bool emplace(VertexId v, VertexId value) { return slots_.emplace(v, value); }
 
  private:
-  // lint:allow-hash(HashMarks IS the implicit-adjacency fallback path)
-  std::unordered_map<VertexId, VertexId> map_;
+  KeySlots<VertexId> slots_;
 };
 
 /// Dense marks: vertex-indexed values behind EpochStamps, so clearing

@@ -16,18 +16,55 @@ namespace faultroute::detail {
 
 namespace {
 
+/// Keys a worker buffers before it flushes them into the implicit leg's
+/// shared cache.
+constexpr std::size_t kDiscoveryFlushKeys = 4096;
+
+/// A routing worker's pooled probe state: one ProbeArena, re-epoched per
+/// message, so steady-state routing allocates nothing on either leg. On the
+/// implicit leg with a shared cache the worker probes the raw sampler and
+/// its arena logs the keys of its memo misses; they go into the cache's
+/// discovery record in batches — one stripe lock per stripe per flush, none
+/// per probe — whenever kDiscoveryFlushKeys have piled up, and once more
+/// when the worker drains (this state dies with the body closure, on the
+/// worker thread, before parallel_index_loop returns).
+class WorkerProbeState {
+ public:
+  explicit WorkerProbeState(const SharedProbeCache* discoveries)
+      : arena(discoveries != nullptr), discoveries_(discoveries) {}
+  WorkerProbeState(const WorkerProbeState&) = delete;
+  WorkerProbeState& operator=(const WorkerProbeState&) = delete;
+  ~WorkerProbeState() { flush(); }
+
+  /// Flushes the discovery buffer once it holds a batch.
+  void after_message() {
+    if (arena.discovered().size() >= kDiscoveryFlushKeys) flush();
+  }
+
+  ProbeArena arena;
+
+ private:
+  void flush() {
+    std::vector<EdgeKey>& keys = arena.discovered();
+    if (keys.empty()) return;
+    discoveries_->record_discoveries(keys);
+    keys.clear();
+  }
+
+  const SharedProbeCache* discoveries_;
+};
+
 /// Routing proper: every message independently through the (cached)
 /// environment. Messages are independent, so a work-stealing index loop with
 /// a fresh-per-thread router reproduces the sequential outcome exactly.
-/// On the flat leg each worker owns one ProbeArena, created here in
-/// make_body and re-epoched per message, so steady-state routing allocates
-/// nothing; on the implicit leg each message keeps its probe state in its
-/// ProbeContext's key-addressed memo, sized by what it probes.
+/// Each worker owns one WorkerProbeState, created here in make_body.
+/// `discoveries`: the implicit leg's key-addressed cache, or nullptr.
 // analyze:hot-root(routing worker body: per-message inner loop of every sweep)
 void route_all(const Topology& graph, const EdgeSampler& env,
                const RouterFactory& make_router, const std::shared_ptr<Router>& prototype,
                const std::vector<TrafficMessage>& messages, const TrafficConfig& config,
                const FlatAdjacency* flat, const DistanceOracle* oracle,
+               const SharedProbeCache* discoveries,
                std::vector<MessageOutcome>& outcomes, std::vector<Path>& paths) {
   // Instrumentation is resolved once, outside the loop: counter ids here,
   // then one per-worker span plus two plain-store adds per message inside.
@@ -53,14 +90,14 @@ void route_all(const Topology& graph, const EdgeSampler& env,
         unclaimed.exchange(nullptr, std::memory_order_acq_rel) != nullptr
             ? prototype
             : make_router();
-    const std::shared_ptr<ProbeArena> arena =
-        flat != nullptr ? std::make_shared<ProbeArena>() : nullptr;
+    const std::shared_ptr<WorkerProbeState> state =
+        std::make_shared<WorkerProbeState>(discoveries);
     // The worker's whole routing stint is one span on its own track; the
     // body closure (and with it the scope) is destroyed on the worker
     // thread when the worker drains, closing the span there.
     const std::shared_ptr<obs::PhaseProfiler::Scope> span =
         std::make_shared<obs::PhaseProfiler::Scope>(profiler, "route-worker");
-    return [&, router, arena, span](std::size_t i) {
+    return [&, router, state, span](std::size_t i) {
       const TrafficMessage& msg = messages[i];
       MessageOutcome& out = outcomes[i];
       out.message = msg;
@@ -70,7 +107,7 @@ void route_all(const Topology& graph, const EdgeSampler& env,
         return;
       }
       ProbeContext ctx(graph, env, msg.source, router->required_mode(),
-                       config.probe_budget, arena.get(), flat, oracle);
+                       config.probe_budget, &state->arena, flat, oracle);
       std::optional<Path> path;
       try {
         path = router->route(ctx, msg.source, msg.target);
@@ -78,6 +115,7 @@ void route_all(const Topology& graph, const EdgeSampler& env,
         out.censored = true;
       }
       out.distinct_probes = ctx.distinct_probes();
+      state->after_message();
       if (counters != nullptr) {
         counters->add(probe_calls, ctx.total_probes());
         counters->add(expansions, ctx.expansions());
@@ -123,11 +161,18 @@ std::vector<RoutedJourney> route_and_validate(
   }
   const AdjacencyView adj(graph, flat);
 
+  // The flat leg probes through its edge-id-addressed cache; the implicit
+  // leg probes the raw sampler and records discoveries in batches.
   std::optional<SharedProbeCache> cache;
   const EdgeSampler* env = &sampler;
+  const SharedProbeCache* discoveries = nullptr;
   if (config.use_shared_cache) {
     const obs::PhaseProfiler::Scope cache_scope(profiler, "shared-cache");
-    env = flat != nullptr ? &cache.emplace(sampler, *flat) : &cache.emplace(sampler, graph);
+    if (flat != nullptr) {
+      env = &cache.emplace(sampler, *flat);
+    } else {
+      discoveries = &cache.emplace(sampler, graph);
+    }
   }
   // FrontierMode::kBatch (flat path only): classify the batch's router via
   // one prototype — factories hand out identically-behaving routers, that is
@@ -165,7 +210,7 @@ std::vector<RoutedJourney> route_and_validate(
                              probe_target_first, result.outcomes, paths);
     } else {
       route_all(graph, *env, make_router, prototype, messages, config, flat, oracle,
-                result.outcomes, paths);
+                discoveries, result.outcomes, paths);
     }
   }
   if (cache) {
@@ -217,8 +262,9 @@ std::vector<RoutedJourney> route_and_validate(
     journey.path = std::move(path);
     ++result.routed;
   }
-  // The per-message memo means the cache sees exactly one lookup per
-  // (message, edge), so every distinct probe that was not a miss was a hit:
+  // The per-message memo means the cache sees exactly one lookup (or, on
+  // the implicit leg, one recorded key) per (message, edge), so every
+  // distinct probe that was not a miss was a hit:
   // hits + misses == total_distinct_probes by definition, with no counter
   // on the lookup path (see TrafficResult::cache_hits).
   if (cache) result.cache_hits = result.total_distinct_probes - result.cache_misses;

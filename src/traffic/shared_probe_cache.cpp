@@ -1,15 +1,15 @@
 #include "traffic/shared_probe_cache.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cassert>
 #include <stdexcept>
 #include <string>
-
-#include "random/splitmix64.hpp"
 
 namespace faultroute {
 
 SharedProbeCache::SharedProbeCache(const EdgeSampler& base, const Topology& /*graph*/)
-    : base_(base), stripes_(new Stripe[std::size_t{1} << kStripeBits]) {}
+    : base_(base), stripes_(new Stripe[kStripes]) {}
 
 SharedProbeCache::SharedProbeCache(const EdgeSampler& base, const FlatAdjacency& flat)
     : base_(base),
@@ -44,46 +44,48 @@ bool SharedProbeCache::is_open_indexed(std::uint32_t edge_id, EdgeKey key) const
   return expected == kOpen;
 }
 
-bool SharedProbeCache::record(Stripe& stripe, EdgeKey key, std::uint64_t hash) {
-  if (key == kNoKey) {
-    const bool fresh = !stripe.holds_no_key;
-    stripe.holds_no_key = true;
-    return fresh;
-  }
-  if (2 * (stripe.size + 1) > stripe.slots.size()) {
-    std::vector<EdgeKey> old(std::max<std::size_t>(64, 2 * stripe.slots.size()), kNoKey);  // analyze:allow-hot-alloc(doubling growth of the discovery record: O(log edges) times per stripe)
-    old.swap(stripe.slots);
-    const std::size_t mask = stripe.slots.size() - 1;
-    for (const EdgeKey kept : old) {
-      if (kept == kNoKey) continue;
-      std::size_t pos = mix64(kept) & mask;
-      while (stripe.slots[pos] != kNoKey) pos = (pos + 1) & mask;
-      stripe.slots[pos] = kept;
+void SharedProbeCache::record_discoveries(std::span<EdgeKey> keys) const {
+  assert(flat_ == nullptr);
+  // Group the keys by stripe in place (one counting pass, then a swap
+  // cycle per misplaced key), so each stripe is locked once.
+  std::array<std::size_t, kStripes + 1> begin{};
+  for (const EdgeKey key : keys) ++begin[stripe_of(key) + 1];
+  for (std::size_t s = 0; s < kStripes; ++s) begin[s + 1] += begin[s];
+  std::array<std::size_t, kStripes> next{};
+  std::copy_n(begin.begin(), kStripes, next.begin());
+  for (std::size_t s = 0; s < kStripes; ++s) {
+    while (next[s] < begin[s + 1]) {
+      const std::size_t home = stripe_of(keys[next[s]]);
+      if (home == s) {
+        ++next[s];
+      } else {
+        std::swap(keys[next[s]], keys[next[home]++]);
+      }
     }
   }
-  const std::size_t mask = stripe.slots.size() - 1;
-  for (std::size_t pos = hash & mask;; pos = (pos + 1) & mask) {
-    if (stripe.slots[pos] == key) return false;
-    if (stripe.slots[pos] == kNoKey) {
-      stripe.slots[pos] = key;
-      ++stripe.size;
-      return true;
+  std::uint64_t fresh = 0;
+  for (std::size_t s = 0; s < kStripes; ++s) {
+    if (begin[s] == begin[s + 1]) continue;
+    Stripe& stripe = stripes_[s];
+    const std::lock_guard<std::mutex> lock(stripe.mutex);
+    for (std::size_t k = begin[s]; k < begin[s + 1]; ++k) {
+      if (stripe.keys.emplace(keys[k], true)) ++fresh;
     }
   }
+  if (fresh != 0) misses_.fetch_add(fresh, std::memory_order_relaxed);
 }
 
 bool SharedProbeCache::is_open(EdgeKey key) const {
   if (flat_ == nullptr) {
     // Key addressed: the answer is the base sampler's (pure, so no lock is
     // needed to compute it); the stripe lock guards only the record of
-    // discovery. The top hash bits pick the stripe, the low ones the slot.
+    // discovery.
     const bool open = base_.is_open(key);
-    const std::uint64_t hash = mix64(key);
-    Stripe& stripe = stripes_[hash >> (64 - kStripeBits)];
+    Stripe& stripe = stripes_[stripe_of(key)];
     bool fresh = false;
     {
       const std::lock_guard<std::mutex> lock(stripe.mutex);
-      fresh = record(stripe, key, hash);
+      fresh = stripe.keys.emplace(key, true);
     }
     if (fresh) misses_.fetch_add(1, std::memory_order_relaxed);
     return open;

@@ -4,11 +4,14 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "graph/flat_adjacency.hpp"
+#include "graph/key_slots.hpp"
 #include "graph/topology.hpp"
 #include "percolation/edge_sampler.hpp"
+#include "random/splitmix64.hpp"
 
 namespace faultroute {
 
@@ -34,19 +37,22 @@ namespace faultroute {
 ///    edges the batch probes and nothing is sized from the graph — a
 ///    2^30-vertex hypercube costs nothing until it is probed. Answers come
 ///    straight from the (pure) base sampler; the set is the record of
-///    discovery.
+///    discovery. The routing phase's implicit leg does not probe through
+///    it: its workers ask the base sampler and hand the keys of their memo
+///    misses to record_discoveries() in batches, one lock per stripe per
+///    batch, so no lock sits on the per-probe path.
 ///
 /// Correctness under threads: the underlying sampler is a deterministic
 /// pure function of the edge key, so two threads racing to resolve the same
 /// edge compute the same value — whichever CAS (or set insertion) wins
 /// records it, the loser's answer is byte-identical, and every quantity
 /// derived from probe *answers* is bit-identical across thread counts. So
-/// is `unique_edges()`: the set of recorded edges depends only on which
-/// edges the batch probes, never on the interleaving (a miss is counted only
-/// by the thread that publishes it). There is deliberately no hit counter:
-/// one shared atomic incremented on every lookup is contended by every
-/// worker, and the routing phase derives hits exactly as distinct probes −
-/// misses (see TrafficResult::cache_hits).
+/// is `unique_edges()`: the set of recorded edges is the union of the edges
+/// the batch probes, never dependent on the interleaving or on how the keys
+/// were batched (a miss is counted only by the thread that inserts it).
+/// There is deliberately no hit counter: one shared atomic incremented on
+/// every lookup is contended by every worker, and the routing phase derives
+/// hits exactly as distinct probes − misses (see TrafficResult::cache_hits).
 class SharedProbeCache final : public EdgeSampler {
  public:
   /// Key-addressed cache. `base` must outlive the cache and be thread-safe
@@ -73,6 +79,13 @@ class SharedProbeCache final : public EdgeSampler {
   /// passes exactly that). A key-addressed cache ignores the id.
   [[nodiscard]] bool is_open_indexed(std::uint32_t edge_id, EdgeKey key) const override;
 
+  /// Records the discovery of every key in `keys` (duplicates allowed) on a
+  /// key-addressed cache, taking each stripe's lock once for all of its
+  /// keys; the answers are not needed, so the base sampler is not asked.
+  /// Reorders `keys` (grouped by stripe). Thread-safe against concurrent
+  /// record_discoveries() and is_open() calls.
+  void record_discoveries(std::span<EdgeKey> keys) const;
+
   [[nodiscard]] double survival_probability() const override {
     return base_.survival_probability();
   }
@@ -89,25 +102,22 @@ class SharedProbeCache final : public EdgeSampler {
   static constexpr std::uint8_t kClosed = 1;
   static constexpr std::uint8_t kOpen = 2;
   static constexpr unsigned kStripeBits = 6;
+  static constexpr std::size_t kStripes = std::size_t{1} << kStripeBits;
 
-  /// The free-slot marker of the stripes' open-addressing tables. It is
-  /// also a legal edge key, so a stripe records that one key in a flag.
-  static constexpr EdgeKey kNoKey = ~EdgeKey{0};
-
-  /// One lock stripe of the key-addressed record: an open-addressing set of
-  /// keys (linear probing, power-of-two table at most half full), so a
-  /// first touch costs one cache line, not a node allocation. Cache-line
-  /// aligned so two workers locking neighbouring stripes do not share one.
+  /// One lock stripe of the key-addressed record: a set of keys (KeySlots,
+  /// 16 bytes per slot; values unused), so a first touch costs one cache line, not a node
+  /// allocation. Cache-line aligned so two workers locking neighbouring
+  /// stripes do not share one.
   struct alignas(64) Stripe {
     std::mutex mutex;
-    std::vector<EdgeKey> slots;  // kNoKey = free
-    std::size_t size = 0;
-    bool holds_no_key = false;
+    KeySlots<bool> keys;
   };
 
-  /// Adds `key` (hashed to `hash`) to `stripe`, whose lock the caller holds;
-  /// true iff it was not recorded yet.
-  static bool record(Stripe& stripe, EdgeKey key, std::uint64_t hash);
+  /// The stripe `key` belongs to: the top bits of its hash (KeySlots
+  /// places it by the low ones).
+  [[nodiscard]] static std::size_t stripe_of(EdgeKey key) {
+    return static_cast<std::size_t>(mix64(key) >> (64 - kStripeBits));
+  }
 
   const EdgeSampler& base_;
   /// Edge-id addressed (flat_ != nullptr): the snapshot and a tri-state per
@@ -115,7 +125,7 @@ class SharedProbeCache final : public EdgeSampler {
   /// nor movable (std::vector would demand both).
   const FlatAdjacency* flat_ = nullptr;
   std::unique_ptr<std::atomic<std::uint8_t>[]> states_;
-  /// Key addressed (flat_ == nullptr): 2^kStripeBits stripes.
+  /// Key addressed (flat_ == nullptr): kStripes stripes.
   std::unique_ptr<Stripe[]> stripes_;
   mutable std::atomic<std::uint64_t> misses_{0};
 };

@@ -2,7 +2,8 @@
 //
 // Every lock-free or lazily-initialised shared structure in the repo gets
 // hammered here from many threads at once, with a start barrier so the
-// threads actually collide: SharedProbeCache CAS publication,
+// threads actually collide: SharedProbeCache CAS publication and batched
+// discovery flushes,
 // CounterRegistry per-thread slabs (with a
 // concurrent snapshotter), PhaseProfiler scopes from worker threads,
 // DistanceOracle grow-only column memo, the lazy Topology::channel_index /
@@ -110,6 +111,31 @@ TEST(ConcurrencyStress, SharedProbeCacheCasPublicationIsExactUnderContention) {
   // every edge exactly once however the first probes raced.
   EXPECT_EQ(cache.unique_edges(), edges);
   EXPECT_EQ(keyed.unique_edges(), edges);
+
+  // Batched flushes, the implicit routing leg's path: every worker records
+  // an overlapping window of edge keys, repeatedly and in odd-sized batches,
+  // into one key-addressed cache. A key is counted only by the flush that
+  // inserts it, so misses must equal the size of the windows' union.
+  const SharedProbeCache batched(base, graph);
+  const std::uint32_t step = edges / (2 * kThreads);
+  const std::uint32_t window = edges / 4;  // >= step: the windows overlap
+  constexpr std::size_t kBatch = 97;
+  hammer(kThreads, [&](unsigned worker) {
+    std::vector<EdgeKey> batch;
+    batch.reserve(kBatch);
+    for (int round = 0; round < kRounds; ++round) {
+      for (std::uint32_t i = 0; i < window; ++i) {
+        const std::uint32_t offset = (worker % 2 == 0) ? i : (window - 1 - i);
+        batch.push_back(id_key[worker * step + offset].second);
+        if (batch.size() == kBatch) {
+          batched.record_discoveries(batch);
+          batch.clear();
+        }
+      }
+    }
+    batched.record_discoveries(batch);
+  });
+  EXPECT_EQ(batched.unique_edges(), (kThreads - 1) * step + window);
 }
 
 // ------------------------------------------------------- counter registry

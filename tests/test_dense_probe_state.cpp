@@ -1,10 +1,10 @@
 // Dense probe-state suite.
 //
-// On the flat adjacency leg the routing phase keeps all probe state dense
-// over the snapshot's edge ids: one epoch-stamped ProbeArena per worker,
-// reused across that worker's messages, optionally backed by the lock-free
-// tri-state SharedProbeCache. On the implicit leg the same roles are played
-// by each ProbeContext's key-addressed memo and the key-addressed cache. The
+// The routing phase keeps each worker's probe state in one epoch-cleared
+// ProbeArena, reused across that worker's messages: dense over the
+// snapshot's edge ids on the flat adjacency leg, optionally backed by the
+// lock-free tri-state SharedProbeCache; key slots on the implicit leg, whose
+// workers flush their discoveries into the key-addressed cache in batches. The
 // sampler is a deterministic function of the edge key, so neither the
 // cache nor the assignment of messages to workers may change anything a run
 // reports except the cache's own counters. These tests hold cached and
@@ -81,7 +81,8 @@ struct ProbeStateCase {
   std::uint64_t budget = 0;  // 0 = unbounded
 };
 
-TrafficResult run_case(const ProbeStateCase& spec, bool shared_cache, unsigned threads) {
+TrafficResult run_case(const ProbeStateCase& spec, bool shared_cache, unsigned threads,
+                       AdjacencyMode adjacency = AdjacencyMode::kAuto) {
   const auto graph = sim::make_topology(spec.topology);
   const HashEdgeSampler env(spec.p, derive_seed(2005, 7));
   WorkloadConfig workload = sim::make_workload(spec.workload);
@@ -93,6 +94,7 @@ TrafficResult run_case(const ProbeStateCase& spec, bool shared_cache, unsigned t
   TrafficConfig config;
   config.threads = threads;
   config.use_shared_cache = shared_cache;
+  config.adjacency = adjacency;
   if (spec.budget > 0) config.probe_budget = spec.budget;
   return run_traffic(*graph, env, factory, messages, config);
 }
@@ -132,19 +134,60 @@ TEST(DenseProbeState, SharedCacheIsTransparentAcrossTopologiesRoutersAndModes) {
 
 TEST(DenseProbeState, ArenaReuseIsIndependentOfWorkerAssignment) {
   // Each worker reuses one arena for all its messages, isolated only by the
-  // epoch bump. Which messages share an arena changes with the thread count;
-  // the results must not.
+  // epoch bump: flat arrays on the flat leg, key slots on the implicit leg,
+  // where the worker also batches its discoveries into the shared cache.
+  // Which messages share an arena (and a flush) changes with the thread
+  // count; the results must not, and the two legs must agree.
   for (const auto& spec : probe_state_cases()) {
-    const TrafficResult one = run_case(spec, /*shared_cache=*/true, 1);
-    const TrafficResult four = run_case(spec, /*shared_cache=*/true, 4);
-    expect_same_routing_and_delivery(one, four, label_of(spec) + " threads 1 vs 4");
-    EXPECT_EQ(one.unique_edges_probed, four.unique_edges_probed) << label_of(spec);
-    // The TrafficResult identities: misses are the published edges, hits
-    // every other distinct probe.
-    for (const TrafficResult* r : {&one, &four}) {
-      EXPECT_EQ(r->cache_misses, r->unique_edges_probed) << label_of(spec);
-      EXPECT_EQ(r->cache_hits + r->cache_misses, r->total_distinct_probes) << label_of(spec);
+    const TrafficResult reference =
+        run_case(spec, /*shared_cache=*/true, 1, AdjacencyMode::kFlat);
+    for (const AdjacencyMode adjacency : {AdjacencyMode::kFlat, AdjacencyMode::kImplicit}) {
+      const std::string label =
+          label_of(spec) + " " + std::string(adjacency_mode_name(adjacency));
+      const TrafficResult one = run_case(spec, /*shared_cache=*/true, 1, adjacency);
+      const TrafficResult four = run_case(spec, /*shared_cache=*/true, 4, adjacency);
+      expect_same_routing_and_delivery(reference, one, label + " threads 1");
+      expect_same_routing_and_delivery(reference, four, label + " threads 4");
+      // The TrafficResult identities: misses are the published edges, hits
+      // every other distinct probe.
+      for (const TrafficResult* r : {&one, &four}) {
+        EXPECT_EQ(r->unique_edges_probed, reference.unique_edges_probed) << label;
+        EXPECT_EQ(r->cache_misses, r->unique_edges_probed) << label;
+        EXPECT_EQ(r->cache_hits + r->cache_misses, r->total_distinct_probes) << label;
+      }
     }
+  }
+}
+
+TEST(DenseProbeState, DiscoveryFlushesAreIndependentOfThreadCount) {
+  // On the implicit leg each worker records its memo misses in the shared
+  // cache in batches of 4,096 keys plus one last flush. This batch is big
+  // enough that every worker flushes mid-run; the cache counters are a set
+  // union, so they must not depend on the thread count (hence on how keys
+  // were batched) and must equal the flat leg's lock-free CAS cache.
+  const auto graph = sim::make_topology("hypercube:16");
+  const HashEdgeSampler env(0.7, derive_seed(2005, 7));
+  WorkloadConfig workload = sim::make_workload("permutation");
+  workload.messages = 2048;
+  workload.seed = derive_seed(2005, 8);
+  const auto messages = generate_workload(*graph, workload);
+  const auto factory = [&]() { return sim::make_router("landmark", *graph); };
+  const auto run = [&](unsigned threads, AdjacencyMode adjacency) {
+    TrafficConfig config;
+    config.threads = threads;
+    config.adjacency = adjacency;
+    return run_traffic(*graph, env, factory, messages, config);
+  };
+  const TrafficResult flat = run(4, AdjacencyMode::kFlat);
+  ASSERT_EQ(flat.routed, messages.size());
+  EXPECT_GT(flat.total_distinct_probes, 4u * 4u * 4096u);  // several flushes per worker
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    const TrafficResult implicit = run(threads, AdjacencyMode::kImplicit);
+    const std::string label = "implicit threads " + std::to_string(threads);
+    expect_same_routing_and_delivery(flat, implicit, label);
+    EXPECT_EQ(implicit.unique_edges_probed, flat.unique_edges_probed) << label;
+    EXPECT_EQ(implicit.cache_misses, flat.cache_misses) << label;
+    EXPECT_EQ(implicit.cache_hits, flat.cache_hits) << label;
   }
 }
 

@@ -12,7 +12,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "percolation/override_sampler.hpp"
 #include "percolation/threshold.hpp"
 #include "random/rng.hpp"
+#include "random/splitmix64.hpp"
 #include "scenario/spec.hpp"
 #include "sim/registry.hpp"
 #include "traffic/traffic_engine.hpp"
@@ -143,14 +147,63 @@ TEST(FlatAdjacency, ModeNamesRoundTripAndRejectGarbage) {
 
 // ---------------------------------------------------------------- probing
 
+/// Everything a run of ProbeContexts lets a router observe: one event per
+/// probe (closed, open, locality throw, budget throw) with the distinct and
+/// total counts after it, then each message's reach over every vertex.
+struct ProbeTrace {
+  std::vector<int> events;
+  std::vector<std::uint64_t> counts;
+  std::vector<bool> reached;
+  bool operator==(const ProbeTrace&) const = default;
+};
+
+/// Routes six consecutive messages through one probe-state backend (hash
+/// when `arena` is null, the arena's flat arrays or key slots otherwise;
+/// the arena is reused across the messages, as a traffic worker does). Each
+/// message mixes frontier probes with probes of arbitrary vertices, so kLocal
+/// runs also throw LocalityViolation, and every third message has a budget
+/// tight enough to throw ProbeBudgetExceeded.
+ProbeTrace drive_messages(const Topology& graph, const EdgeSampler& env, RoutingMode mode,
+                          ProbeArena* arena, const FlatAdjacency* flat) {
+  ProbeTrace trace;
+  const VertexId n = graph.num_vertices();
+  for (std::uint64_t m = 0; m < 6; ++m) {
+    const VertexId source = (m * 11) % n;
+    const std::optional<std::uint64_t> budget =
+        m % 3 == 2 ? std::optional<std::uint64_t>(12) : std::nullopt;
+    ProbeContext ctx(graph, env, source, mode, budget, arena, flat);
+    SplitMix64 rng(derive_seed(77, m));
+    std::vector<VertexId> frontier{source};
+    for (int step = 0; step < 300; ++step) {
+      const VertexId v = step % 3 == 0 ? rng() % n : frontier[rng() % frontier.size()];
+      const int i = static_cast<int>(rng() % static_cast<std::uint64_t>(graph.degree(v)));
+      int event = 0;
+      try {
+        if (ctx.probe(v, i)) {
+          event = 1;
+          frontier.push_back(graph.neighbor(v, i));
+        }
+      } catch (const LocalityViolation&) {
+        event = 2;
+      } catch (const ProbeBudgetExceeded&) {
+        event = 3;
+      }
+      trace.events.push_back(event);
+      trace.counts.push_back(ctx.distinct_probes());
+      trace.counts.push_back(ctx.total_probes());
+    }
+    for (VertexId v = 0; v < n; ++v) trace.reached.push_back(ctx.is_reached(v));
+  }
+  return trace;
+}
+
 TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
   const auto graph = sim::make_topology("butterfly:3");
   const FlatAdjacency& flat = graph->flat_adjacency();
   const HashEdgeSampler env(0.6, 99);
-  // Drive an identical probe sequence through the three backend
-  // combinations (hash probe state over flat or implicit adjacency, dense
-  // probe state over flat — the arena indexes the snapshot's edge ids, so it
-  // has no implicit form) and hold every answer and counter equal.
+  // Drive an identical probe sequence through the four backend
+  // combinations (hash or arena probe state, over flat or implicit
+  // adjacency) and hold every answer and counter equal.
   const auto drive = [&](ProbeArena* arena, const FlatAdjacency* snapshot) {
     ProbeContext ctx(*graph, env, 0, RoutingMode::kOracle, std::nullopt, arena, snapshot);
     std::vector<bool> answers;
@@ -167,15 +220,31 @@ TEST(FlatAdjacency, ProbeContextFlatPathMatchesImplicitOnBothBackends) {
     EXPECT_EQ(ctx.distinct_probes(), flat.num_edge_ids());
     return std::make_pair(answers, ctx.distinct_probes());
   };
-  ProbeArena arena;
+  ProbeArena flat_arena;
+  ProbeArena implicit_arena;
   const auto implicit_hash = drive(nullptr, nullptr);
-  const auto flat_hash = drive(nullptr, &flat);
-  const auto flat_dense = drive(&arena, &flat);
-  EXPECT_EQ(implicit_hash, flat_hash);
-  EXPECT_EQ(implicit_hash, flat_dense);
-  EXPECT_THROW(ProbeContext(*graph, env, 0, RoutingMode::kOracle, std::nullopt, &arena),
-               std::invalid_argument);
+  EXPECT_EQ(implicit_hash, drive(nullptr, &flat));
+  EXPECT_EQ(implicit_hash, drive(&flat_arena, &flat));
+  EXPECT_EQ(implicit_hash, drive(&implicit_arena, nullptr));
   EXPECT_EQ(flat.graph().num_vertices(), graph->num_vertices());
+
+  // An arena over implicit adjacency (key slots) must equal the arena-less
+  // hash backend in every observable — answers, distinct and total counts,
+  // reach, budget and locality throws — in both modes, across consecutive
+  // messages that reuse one arena; so must the flat combinations.
+  for (const RoutingMode mode : {RoutingMode::kLocal, RoutingMode::kOracle}) {
+    const ProbeTrace reference = drive_messages(*graph, env, mode, nullptr, nullptr);
+    const auto count = [&](int event) {
+      return std::count(reference.events.begin(), reference.events.end(), event);
+    };
+    EXPECT_GT(count(0), 0);
+    EXPECT_GT(count(1), 0);
+    EXPECT_EQ(count(2) > 0, mode == RoutingMode::kLocal);
+    EXPECT_GT(count(3), 0);
+    EXPECT_EQ(drive_messages(*graph, env, mode, &implicit_arena, nullptr), reference);
+    EXPECT_EQ(drive_messages(*graph, env, mode, nullptr, &flat), reference);
+    EXPECT_EQ(drive_messages(*graph, env, mode, &flat_arena, &flat), reference);
+  }
 }
 
 // ---------------------------------------------------------------- traffic

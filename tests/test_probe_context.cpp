@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
 
 #include "core/path.hpp"
 #include "core/probe_context.hpp"
@@ -10,6 +11,7 @@
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
 #include "percolation/edge_sampler.hpp"
+#include "random/splitmix64.hpp"
 
 namespace faultroute {
 
@@ -377,6 +379,34 @@ TEST(Path, SimplifyKeepsEndpointsAndAdjacency) {
   Path sorted = simple;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+}
+
+TEST(Path, SimplifyMatchesEagerDeletionOnRandomWalks) {
+  // simplify_walk deletes the positions of cut vertices lazily; hold it to
+  // the eager form (erase every cut vertex's position) on walks over a few
+  // vertices, where loops, nested loops and revisits of cut vertices abound.
+  const auto eager = [](const Path& walk) {
+    Path out;
+    std::map<VertexId, std::size_t> position;
+    for (const VertexId v : walk) {
+      const auto it = position.find(v);
+      if (it != position.end()) {
+        for (std::size_t i = it->second + 1; i < out.size(); ++i) position.erase(out[i]);
+        out.resize(it->second + 1);
+      } else {
+        position.emplace(v, out.size());
+        out.push_back(v);
+      }
+    }
+    return out;
+  };
+  SplitMix64 rng(41);
+  for (int trial = 0; trial < 2000; ++trial) {
+    Path walk(rng() % 40);
+    const std::uint64_t vertices = 2 + rng() % 10;
+    for (VertexId& v : walk) v = rng() % vertices;
+    ASSERT_EQ(simplify_walk(walk), eager(walk)) << "trial " << trial;
+  }
 }
 
 TEST(Path, LengthCounts) {
