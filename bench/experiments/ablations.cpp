@@ -10,9 +10,9 @@
 //      routing congestion (max edge load) on the supercritical mesh — the
 //      distinction Section 1.1 draws around Definition 2.
 
+#include "experiments.hpp"
+
 #include <cmath>
-#include <cstdio>
-#include <exception>
 #include <memory>
 
 #include "analysis/stats.hpp"
@@ -30,9 +30,8 @@
 #include "sim/options.hpp"
 #include "sim/sweep.hpp"
 
+namespace faultroute::paper {
 namespace {
-
-using namespace faultroute;
 
 void greedy_first_ablation(const sim::Options& options) {
   const int n = options.quick ? 12 : 14;
@@ -152,15 +151,10 @@ void permutation_ablation(const sim::Options& options) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    const auto options = faultroute::sim::parse_options(argc, argv);
-    greedy_first_ablation(options);
-    fault_model_ablation(options);
-    permutation_ablation(options);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_ablations: %s\n", e.what());
-    return 1;
-  }
-  return 0;
+void a1_a3_ablations(const sim::Options& options) {
+  greedy_first_ablation(options);
+  fault_model_ablation(options);
+  permutation_ablation(options);
 }
+
+}  // namespace faultroute::paper

@@ -7,8 +7,7 @@
 // (shrinking towards 1 as p -> 1) and the upper tail should be thin
 // (q99/median close to 1), at every p > p_c and *independent of n*.
 
-#include <cstdio>
-#include <exception>
+#include "experiments.hpp"
 
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
@@ -19,11 +18,9 @@
 #include "random/rng.hpp"
 #include "sim/options.hpp"
 
-namespace {
+namespace faultroute::paper {
 
-using namespace faultroute;
-
-void run(const sim::Options& options) {
+void e9_chemical_distance(const sim::Options& options) {
   const std::int64_t side = options.quick ? 96 : 128;
   const Mesh mesh(2, side, /*wrap=*/true);
   const std::vector<double> ps = {0.55, 0.60, 0.70, 0.90};
@@ -65,14 +62,4 @@ void run(const sim::Options& options) {
   if (const auto path = options.csv_path("e9_chemical_distance")) table.write_csv(*path);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    run(faultroute::sim::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_chemical_distance: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
+}  // namespace faultroute::paper

@@ -6,8 +6,7 @@
 // in the giant component across alpha: the stretch should stay O(1) below
 // alpha = 1/2 and grow sharply above it.
 
-#include <cstdio>
-#include <exception>
+#include "experiments.hpp"
 
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
@@ -18,11 +17,9 @@
 #include "sim/options.hpp"
 #include "sim/sweep.hpp"
 
-namespace {
+namespace faultroute::paper {
 
-using namespace faultroute;
-
-void run(const sim::Options& options) {
+void e10_distortion(const sim::Options& options) {
   const int n = options.quick ? 12 : 14;
   const Hypercube cube(n);
   const std::vector<double> alphas = {0.30, 0.45, 0.55, 0.70};
@@ -67,14 +64,4 @@ void run(const sim::Options& options) {
   if (const auto path = options.csv_path("e10_distortion")) table.write_csv(*path);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    run(faultroute::sim::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_distortion: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
+}  // namespace faultroute::paper

@@ -10,9 +10,10 @@
 //      probes; we verify linearity in n up to n = 28 (3 * 2^28 vertices,
 //      implicit — never materialised).
 
+#include "experiments.hpp"
+
 #include <cmath>
-#include <cstdio>
-#include <exception>
+#include <cstdlib>
 
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
@@ -25,9 +26,8 @@
 #include "random/rng.hpp"
 #include "sim/options.hpp"
 
+namespace faultroute::paper {
 namespace {
-
-using namespace faultroute;
 
 void connectivity_threshold(const sim::Options& options) {
   const std::vector<int> depths = {8, 12};
@@ -162,15 +162,10 @@ void oracle_routing_cost(const sim::Options& options) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    const auto options = faultroute::sim::parse_options(argc, argv);
-    connectivity_threshold(options);
-    local_routing_cost(options);
-    oracle_routing_cost(options);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_double_tree: %s\n", e.what());
-    return 1;
-  }
-  return 0;
+void e4_e5_double_tree(const sim::Options& options) {
+  connectivity_threshold(options);
+  local_routing_cost(options);
+  oracle_routing_cost(options);
 }
+
+}  // namespace faultroute::paper

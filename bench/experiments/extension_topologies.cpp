@@ -14,8 +14,8 @@
 //       p_c (mesh-like); growth proportional to N means the router must
 //       see a constant fraction of the graph (hypercube-like).
 
-#include <cstdio>
-#include <exception>
+#include "experiments.hpp"
+
 #include <functional>
 #include <memory>
 #include <queue>
@@ -33,9 +33,8 @@
 #include "sim/options.hpp"
 
 // analyze:allow-file-hot-alloc(bench-local reference routers keep per-message search state on purpose: the benchmark measures the batched executor against exactly this baseline)
+namespace faultroute::paper {
 namespace {
-
-using namespace faultroute;
 
 /// Best-first local router guided by a precomputed fault-free
 /// distance-to-target table (one BFS from the target in the base topology).
@@ -125,7 +124,9 @@ VertexId far_vertex(const Topology& graph, VertexId u, std::uint64_t seed) {
   return best_v;
 }
 
-void run(const sim::Options& options) {
+}  // namespace
+
+void e8_extension_topologies(const sim::Options& options) {
   const std::vector<int> orders = options.quick ? std::vector<int>{9, 11}
                                                 : std::vector<int>{9, 11, 13};
   const std::vector<Family> families = {
@@ -204,14 +205,4 @@ void run(const sim::Options& options) {
   if (const auto path = options.csv_path("e8_verdict")) verdict.write_csv(*path);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    run(faultroute::sim::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_extension_topologies: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
+}  // namespace faultroute::paper

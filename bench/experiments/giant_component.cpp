@@ -8,8 +8,7 @@
 //  (c) Mesh critical probabilities: bisection estimates of p_c(2) = 1/2
 //      (exact) and p_c(3) ~ 0.2488.
 
-#include <cstdio>
-#include <exception>
+#include "experiments.hpp"
 
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
@@ -20,9 +19,8 @@
 #include "random/rng.hpp"
 #include "sim/options.hpp"
 
+namespace faultroute::paper {
 namespace {
-
-using namespace faultroute;
 
 void hypercube_giant(const sim::Options& options) {
   const std::vector<int> dims =
@@ -131,15 +129,10 @@ void mesh_thresholds(const sim::Options& options) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  try {
-    const auto options = faultroute::sim::parse_options(argc, argv);
-    hypercube_giant(options);
-    hypercube_connectivity(options);
-    mesh_thresholds(options);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_giant_component: %s\n", e.what());
-    return 1;
-  }
-  return 0;
+void e7_giant_component(const sim::Options& options) {
+  hypercube_giant(options);
+  hypercube_connectivity(options);
+  mesh_thresholds(options);
 }
+
+}  // namespace faultroute::paper

@@ -7,9 +7,9 @@
 // We sweep n, fit log-log exponents (expect ~2.0 and ~1.5) and compare the
 // measured local/oracle gap against sqrt(n).
 
+#include "experiments.hpp"
+
 #include <cmath>
-#include <cstdio>
-#include <exception>
 
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
@@ -19,9 +19,8 @@
 #include "random/rng.hpp"
 #include "sim/options.hpp"
 
+namespace faultroute::paper {
 namespace {
-
-using namespace faultroute;
 
 constexpr double kC = 3.0;  // mean degree: p = c/n, supercritical (c > 1)
 
@@ -35,7 +34,9 @@ ExperimentSummary measure(const sim::Options& options, Router& router, std::uint
   return measure_routing(g, kC / static_cast<double>(n), router, 0, n - 1, config);
 }
 
-void run(const sim::Options& options) {
+}  // namespace
+
+void e6_gnp_routing(const sim::Options& options) {
   const std::vector<std::uint64_t> local_sizes =
       options.quick ? std::vector<std::uint64_t>{250, 500, 1000}
                     : std::vector<std::uint64_t>{500, 1000, 2000, 4000};
@@ -100,14 +101,4 @@ void run(const sim::Options& options) {
   if (const auto path = options.csv_path("e6_gap")) gap.write_csv(*path);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    run(faultroute::sim::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_gnp_routing: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
+}  // namespace faultroute::paper

@@ -14,9 +14,9 @@
 //       is what makes the "penetrate a tree through its leaves" picture of
 //       Section 3 accurate.
 
+#include "experiments.hpp"
+
 #include <cmath>
-#include <cstdio>
-#include <exception>
 #include <limits>
 #include <queue>
 #include <unordered_map>
@@ -29,9 +29,8 @@
 #include "sim/options.hpp"
 #include "sim/sweep.hpp"
 
+namespace faultroute::paper {
 namespace {
-
-using namespace faultroute;
 
 struct BallProbe {
   bool target_reached = false;       // fixed boundary vertex reached inside S
@@ -77,7 +76,9 @@ BallProbe probe_ball(const Hypercube& cube, const EdgeSampler& sampler, VertexId
   return result;
 }
 
-void run(const sim::Options& options) {
+}  // namespace
+
+void e2_hypercube_ball(const sim::Options& options) {
   const std::vector<int> dims = options.quick ? std::vector<int>{12, 16}
                                               : std::vector<int>{12, 16, 20};
   const std::vector<double> alphas = {0.6, 0.7, 0.8};
@@ -132,14 +133,4 @@ void run(const sim::Options& options) {
   if (const auto path = options.csv_path("e2_hypercube_ball")) table.write_csv(*path);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    run(faultroute::sim::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_hypercube_ball: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
+}  // namespace faultroute::paper

@@ -9,8 +9,7 @@
 // probes (Theorem 3(i)) — so at fixed n the probe count should explode as
 // alpha crosses 1/2, and the explosion should sharpen as n grows.
 
-#include <cstdio>
-#include <exception>
+#include "experiments.hpp"
 
 #include "analysis/table.hpp"
 #include "core/experiment.hpp"
@@ -20,11 +19,9 @@
 #include "sim/options.hpp"
 #include "sim/sweep.hpp"
 
-namespace {
+namespace faultroute::paper {
 
-using namespace faultroute;
-
-void run(const sim::Options& options) {
+void e1_hypercube_phase(const sim::Options& options) {
   const std::vector<int> dims = options.quick ? std::vector<int>{10, 12}
                                               : std::vector<int>{10, 12, 14};
   const std::vector<double> alphas = {0.25, 0.35, 0.45, 0.55, 0.65, 0.75};
@@ -72,14 +69,4 @@ void run(const sim::Options& options) {
   if (const auto path = options.csv_path("e1_verdict")) verdict.write_csv(*path);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    run(faultroute::sim::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_hypercube_phase: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
+}  // namespace faultroute::paper

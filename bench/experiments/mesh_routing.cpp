@@ -7,8 +7,7 @@
 // log-log), with the constant growing as p approaches p_c from above but the
 // *linearity in n* persisting for every p > p_c.
 
-#include <cstdio>
-#include <exception>
+#include "experiments.hpp"
 
 #include "analysis/stats.hpp"
 #include "analysis/table.hpp"
@@ -18,9 +17,8 @@
 #include "random/rng.hpp"
 #include "sim/options.hpp"
 
+namespace faultroute::paper {
 namespace {
-
-using namespace faultroute;
 
 struct MeshSetting {
   int dim;
@@ -73,7 +71,9 @@ void run_setting(const sim::Options& options, const MeshSetting& setting, Table&
   }
 }
 
-void run(const sim::Options& options) {
+}  // namespace
+
+void e3_mesh_routing(const sim::Options& options) {
   Table table({"d", "p", "n", "mean_probes", "median_probes", "probes_per_n",
                "mean_path_len", "reject_rate"});
   Table fits({"d", "p", "loglog_exponent", "probes_per_step", "r2"});
@@ -90,14 +90,4 @@ void run(const sim::Options& options) {
   if (const auto path = options.csv_path("e3_fits")) fits.write_csv(*path);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    run(faultroute::sim::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_mesh_routing: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
+}  // namespace faultroute::paper

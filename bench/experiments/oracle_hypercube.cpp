@@ -8,8 +8,7 @@
 // explosively with n (merely with a smaller exponent), instead of collapsing
 // to poly(n).
 
-#include <cstdio>
-#include <exception>
+#include "experiments.hpp"
 
 #include "analysis/table.hpp"
 #include "core/experiment.hpp"
@@ -20,11 +19,9 @@
 #include "sim/options.hpp"
 #include "sim/sweep.hpp"
 
-namespace {
+namespace faultroute::paper {
 
-using namespace faultroute;
-
-void run(const sim::Options& options) {
+void e11_oracle_hypercube(const sim::Options& options) {
   const std::vector<int> dims =
       options.quick ? std::vector<int>{10, 12} : std::vector<int>{10, 12, 14};
   const std::vector<double> alphas = {0.60, 0.70};
@@ -73,14 +70,4 @@ void run(const sim::Options& options) {
   if (const auto path = options.csv_path("e11_oracle_hypercube")) table.write_csv(*path);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    run(faultroute::sim::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_oracle_hypercube: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
+}  // namespace faultroute::paper

@@ -10,8 +10,8 @@
 //   (b) open-loop load sweep: queueing delay versus Poisson arrival rate
 //       through the saturation knee.
 
-#include <cstdio>
-#include <exception>
+#include "experiments.hpp"
+
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,9 +24,8 @@
 #include "traffic/traffic_engine.hpp"
 #include "traffic/workload.hpp"
 
+namespace faultroute::paper {
 namespace {
-
-using namespace faultroute;
 
 RouterFactory best_first_factory() {
   return [] { return std::make_unique<BestFirstRouter>(); };
@@ -117,20 +116,12 @@ void load_sweep(const sim::Options& options) {
   if (const auto path = options.csv_path("t1c_load_sweep")) table.write_csv(*path);
 }
 
-void run(const sim::Options& options) {
+}  // namespace
+
+void t1_traffic(const sim::Options& options) {
   scenario_matrix(options);
   amortisation_sweep(options);
   load_sweep(options);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  try {
-    run(faultroute::sim::parse_options(argc, argv));
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "bench_traffic: %s\n", e.what());
-    return 1;
-  }
-  return 0;
-}
+}  // namespace faultroute::paper

@@ -1,57 +1,32 @@
 #!/usr/bin/env python3
-"""Validates a bench --json report against its expected schema.
+"""Validates a machine-readable JSON report against its expected schema.
 
 Usage: check_bench_schema.py REPORT.json
 
-Understands every schema the bench suite and the CLI emit — the report's
-"schema" field selects the rule set:
+The report's "schema" field selects the rule set:
 
-  * faultroute.bench.snapshot.v1  (bench_snapshot: mmap warm start vs cold build)
   * faultroute.metrics.v1         (any subcommand's --metrics report)
   * faultroute.analyze.v1         (faultroute_analyze --json contract report)
 
-Run by CI after each `bench_* --quick --json` so the machine-readable perf
-records (the committed BENCH_*.json files and the per-PR CI artifacts)
-stay parseable and complete, and after `faultroute ... --metrics` in the
-observability job.
-Exits non-zero with a message on the first violation.
+Run by CI after `faultroute ... --metrics` in the observability job and
+after the analyzer's --json run, so those reports stay parseable and
+complete. Exits non-zero with a message on the first violation.
 """
 
 import json
 import sys
 
-SNAPSHOT_SCHEMA = "faultroute.bench.snapshot.v1"
 METRICS_SCHEMA = "faultroute.metrics.v1"
 ANALYZE_SCHEMA = "faultroute.analyze.v1"
 SCHEMA_VERSION = 1
 
-# Build provenance (git hash / compiler / build type). Mandatory in
-# faultroute.metrics.v1; optional-if-present in the bench schemas so records
-# committed before the provenance stamp still validate.
+# Build provenance (git hash / compiler / build type), mandatory in
+# faultroute.metrics.v1.
 PROVENANCE_FIELDS = {
     "git_hash": str,
     "compiler": str,
     "build_type": str,
     "generated_by": str,
-}
-
-SNAPSHOT_TOP_LEVEL = {
-    "schema": str,
-    "schema_version": int,
-    "quick": bool,
-    "benchmarks": list,
-}
-
-SNAPSHOT_BENCHMARK_FIELDS = {
-    "name": str,
-    "vertices": int,
-    "channels": int,
-    "payload_bytes": int,
-    "build_ms": (int, float),
-    "write_ms": (int, float),
-    "open_ms": (int, float),
-    "speedup": (int, float),
-    "identical": bool,
 }
 
 METRICS_TOP_LEVEL = {
@@ -143,46 +118,11 @@ def check_fields(obj: dict, fields: dict, where: str) -> None:
             fail(f"{where}: field '{key}' has type {type(value).__name__}")
 
 
-def check_provenance(report: dict, required: bool) -> None:
-    if "provenance" not in report:
-        if required:
-            fail("top level: missing field 'provenance'")
-        return
-    prov = report["provenance"]
-    if not isinstance(prov, dict):
-        fail("provenance: not an object")
+def check_provenance(prov: dict) -> None:
     check_fields(prov, PROVENANCE_FIELDS, "provenance")
     for key in PROVENANCE_FIELDS:
         if not prov[key]:
             fail(f"provenance: field '{key}' is empty")
-
-
-def check_common_top_level(report: dict, top_level: dict) -> None:
-    check_fields(report, top_level, "top level")
-    if report["schema_version"] != SCHEMA_VERSION:
-        fail(f"schema_version is {report['schema_version']}, expected {SCHEMA_VERSION}")
-    check_provenance(report, required=False)
-    if not report["benchmarks"]:
-        fail("benchmarks list is empty")
-    for i, bench in enumerate(report["benchmarks"]):
-        if not isinstance(bench, dict):
-            fail(f"benchmarks[{i}]: not an object")
-
-
-def check_snapshot(report: dict) -> None:
-    check_common_top_level(report, SNAPSHOT_TOP_LEVEL)
-    for i, bench in enumerate(report["benchmarks"]):
-        where = f"benchmarks[{i}]"
-        check_fields(bench, SNAPSHOT_BENCHMARK_FIELDS, where)
-        if not bench["identical"]:
-            fail(f"{where} ('{bench['name']}'): mapped view disagrees with the "
-                 "owning build (identical=false)")
-        if bench["vertices"] <= 0 or bench["channels"] <= 0:
-            fail(f"{where}: empty topology (vertices/channels must be positive)")
-        if bench["payload_bytes"] <= 0:
-            fail(f"{where}: payload_bytes must be positive")
-        if bench["build_ms"] < 0 or bench["write_ms"] < 0 or bench["open_ms"] < 0:
-            fail(f"{where}: negative time")
 
 
 def check_metrics(report: dict) -> None:
@@ -191,7 +131,7 @@ def check_metrics(report: dict) -> None:
         fail(f"schema_version is {report['schema_version']}, expected {SCHEMA_VERSION}")
     if not report["command"]:
         fail("command is empty")
-    check_provenance(report, required=True)
+    check_provenance(report["provenance"])
 
     for name, value in report["counters"].items():
         if not name:
@@ -276,11 +216,6 @@ def check_analyze(report: dict) -> None:
                 fail(f"{where}: empty {text_field}")
 
 
-def summarize_bench(report: dict) -> str:
-    names = [bench["name"] for bench in report["benchmarks"]]
-    return f"{len(names)} benchmarks ({', '.join(names)}), quick={report['quick']}"
-
-
 def summarize_analyze(report: dict) -> str:
     return (
         f"frontend={report['frontend']}, {report['tus']} TUs, "
@@ -299,7 +234,6 @@ def summarize_metrics(report: dict) -> str:
 
 
 CHECKERS = {
-    SNAPSHOT_SCHEMA: (check_snapshot, summarize_bench),
     METRICS_SCHEMA: (check_metrics, summarize_metrics),
     ANALYZE_SCHEMA: (check_analyze, summarize_analyze),
 }

@@ -39,25 +39,6 @@ def run_script(script, *argv):
         capture_output=True, text=True, check=False)
 
 
-def valid_snapshot_report():
-    return {
-        "schema": "faultroute.bench.snapshot.v1",
-        "schema_version": 1,
-        "quick": True,
-        "benchmarks": [{
-            "name": "hypercube:13",
-            "vertices": 8192,
-            "channels": 106496,
-            "payload_bytes": 2195464,
-            "build_ms": 7.1,
-            "write_ms": 2.1,
-            "open_ms": 0.6,
-            "speedup": 11.8,
-            "identical": True,
-        }],
-    }
-
-
 def valid_metrics_report():
     return {
         "schema": "faultroute.metrics.v1",
@@ -149,43 +130,22 @@ class BenchSchemaValidator(ValidatorCase):
     def test_accepts_valid_metrics_report(self):
         self.assert_accepts(self.SCRIPT, self.write_json("m.json", valid_metrics_report()))
 
-    def test_accepts_valid_snapshot_report(self):
-        self.assert_accepts(self.SCRIPT, self.write_json("s.json", valid_snapshot_report()))
-
-    def test_rejects_snapshot_view_disagreement(self):
-        report = valid_snapshot_report()
-        report["benchmarks"][0]["identical"] = False
-        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report),
-                            "identical")
-
-    def test_rejects_snapshot_empty_payload(self):
-        report = valid_snapshot_report()
-        report["benchmarks"][0]["payload_bytes"] = 0
-        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report),
-                            "payload_bytes")
-
-    def test_rejects_snapshot_negative_open_time(self):
-        report = valid_snapshot_report()
-        report["benchmarks"][0]["open_ms"] = -0.5
-        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report),
-                            "negative time")
-
     def test_rejects_missing_field(self):
-        report = valid_snapshot_report()
-        del report["benchmarks"][0]["open_ms"]
-        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report),
-                            "open_ms")
+        report = valid_metrics_report()
+        del report["phases"][0]["total_ms"]
+        self.assert_rejects(self.SCRIPT, self.write_json("m.json", report),
+                            "total_ms")
 
     def test_rejects_wrong_schema_version(self):
-        report = valid_snapshot_report()
+        report = valid_metrics_report()
         report["schema_version"] = 2
-        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report),
+        self.assert_rejects(self.SCRIPT, self.write_json("m.json", report),
                             "schema_version")
 
     def test_rejects_bool_masquerading_as_int(self):
-        report = valid_snapshot_report()
-        report["benchmarks"][0]["vertices"] = True
-        self.assert_rejects(self.SCRIPT, self.write_json("s.json", report), "vertices")
+        report = valid_metrics_report()
+        report["phases"][0]["count"] = True
+        self.assert_rejects(self.SCRIPT, self.write_json("m.json", report), "count")
 
     def test_rejects_metrics_without_provenance(self):
         report = valid_metrics_report()

@@ -16,8 +16,8 @@ namespace faultroute {
 /// landmark/BFS algorithm *from the closest vertex reached so far*.
 ///
 /// Complete: phase 2 alone is complete, and phase 1 only ever extends the
-/// reached set. The ablation bench (bench_ablations) compares its complexity
-/// exponent with pure landmark routing on the hypercube.
+/// reached set. The ablation experiment (`bench_paper ablations`) compares
+/// its complexity exponent with pure landmark routing on the hypercube.
 class HybridGreedyRouter : public Router {
  public:
   std::optional<Path> route(ProbeContext& ctx, VertexId u, VertexId v) override;

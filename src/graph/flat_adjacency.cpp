@@ -46,7 +46,7 @@ FlatAdjacency::FlatAdjacency(const Topology& graph)
 FlatAdjacency::~FlatAdjacency() = default;
 
 const DistanceOracle& FlatAdjacency::distance_oracle() const {
-  std::call_once(oracle_once_,
+  std::call_once(oracle_once_,  // analyze:allow-hot-alloc(lazy oracle build, once per snapshot under call_once)
                  [this] { oracle_ = std::make_unique<DistanceOracle>(*this); });
   return *oracle_;
 }

@@ -52,7 +52,7 @@ const ChannelIndex& Topology::channel_index() const {
 }
 
 const FlatAdjacency& Topology::flat_adjacency() const {
-  std::call_once(flat_adjacency_once_,
+  std::call_once(flat_adjacency_once_,  // analyze:allow-hot-alloc(lazy CSR build, once per topology under call_once)
                  [this] { flat_adjacency_ = std::make_unique<FlatAdjacency>(*this); });
   return *flat_adjacency_;
 }

@@ -59,6 +59,7 @@ CounterRegistry::Slab& CounterRegistry::slab_for_current_thread() {
   }
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = slabs_[std::this_thread::get_id()];
+  // analyze:allow-hot-alloc(once per thread; later calls hit the thread-local cache above)
   if (!slot) slot = std::make_unique<Slab>(capacity_);
   tls_slab_cache = {instance_, slot.get()};
   return *slot;

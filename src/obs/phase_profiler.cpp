@@ -35,6 +35,7 @@ PhaseProfiler::ThreadState& PhaseProfiler::state_for_current_thread() {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& slot = states_[std::this_thread::get_id()];
   if (!slot) {
+    // analyze:allow-hot-alloc(once per thread; later calls hit the thread-local cache above)
     slot = std::make_unique<ThreadState>();
     slot->track = next_track_++;
     slot->label = "thread-" + std::to_string(slot->track);

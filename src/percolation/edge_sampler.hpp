@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "graph/topology.hpp"
-#include "percolation/indexed_memo.hpp"
 
 namespace faultroute {
 
@@ -68,22 +67,9 @@ class ExplicitEdgeSampler final : public EdgeSampler {
   /// Edges default to `default_open`; individual keys can be pinned.
   explicit ExplicitEdgeSampler(bool default_open = false);
 
-  void set(EdgeKey key, bool open) {
-    states_[key] = open;
-    memo_.invalidate();  // O(1) generation bump, not a sweep
-  }
-
-  /// Sizes a dense per-edge-id answer memo over `graph`'s ChannelIndex
-  /// edge-id space, so is_open_indexed (which arena-backed ProbeContexts
-  /// and the flat analyses call with ids in hand) resolves repeat queries
-  /// with one array load instead of hashing the key. Purely an accelerator:
-  /// answers are identical with or without it, ids outside the indexed
-  /// space fall back to the key path, and any later set() invalidates the
-  /// memo wholesale (mutation is setup-time by contract).
-  void index_edges(const Topology& graph);
+  void set(EdgeKey key, bool open) { states_[key] = open; }
 
   [[nodiscard]] bool is_open(EdgeKey key) const override;
-  [[nodiscard]] bool is_open_indexed(std::uint32_t edge_id, EdgeKey key) const override;
   [[nodiscard]] double survival_probability() const override {
     return default_open_ ? 1.0 : 0.0;
   }
@@ -91,11 +77,6 @@ class ExplicitEdgeSampler final : public EdgeSampler {
  private:
   bool default_open_;
   std::unordered_map<EdgeKey, bool> states_;
-  /// Answer memo per dense edge id (unknown / closed / open), resolved
-  /// lazily and published with relaxed stores — answers are a pure function
-  /// of the key between mutations, so racing resolvers write identical
-  /// words (the SharedProbeCache argument).
-  detail::IndexedStateMemo memo_;
 };
 
 }  // namespace faultroute

@@ -140,8 +140,10 @@ void route_frontier_batched(const Topology& graph, const EdgeSampler& env,
   // split nor the thread count is observable.
   const std::size_t num_blocks = (messages.size() + kBlockMessages - 1) / kBlockMessages;
   parallel_index_loop(num_blocks, config.threads, [&] {
+    // analyze:allow-hot-alloc(once per worker at loop start, not per block)
     const std::shared_ptr<WorkerScratch> scratch = std::make_shared<WorkerScratch>();
     const std::shared_ptr<obs::PhaseProfiler::Scope> span =
+        // analyze:allow-hot-alloc(once per worker at loop start, not per block)
         std::make_shared<obs::PhaseProfiler::Scope>(profiler, "route-worker");
     return [&, scratch, span](std::size_t b) {
       const std::size_t begin = b * kBlockMessages;

@@ -91,11 +91,13 @@ void route_all(const Topology& graph, const EdgeSampler& env,
             ? prototype
             : make_router();
     const std::shared_ptr<WorkerProbeState> state =
+        // analyze:allow-hot-alloc(once per worker at loop start, not per message)
         std::make_shared<WorkerProbeState>(discoveries);
     // The worker's whole routing stint is one span on its own track; the
     // body closure (and with it the scope) is destroyed on the worker
     // thread when the worker drains, closing the span there.
     const std::shared_ptr<obs::PhaseProfiler::Scope> span =
+        // analyze:allow-hot-alloc(once per worker at loop start, not per message)
         std::make_shared<obs::PhaseProfiler::Scope>(profiler, "route-worker");
     return [&, router, state, span](std::size_t i) {
       const TrafficMessage& msg = messages[i];
@@ -166,7 +168,7 @@ std::vector<RoutedJourney> route_and_validate(
   std::optional<SharedProbeCache> cache;
   const EdgeSampler* env = &sampler;
   const SharedProbeCache* discoveries = nullptr;
-  if (config.use_shared_cache) {
+  {
     const obs::PhaseProfiler::Scope cache_scope(profiler, "shared-cache");
     if (flat != nullptr) {
       env = &cache.emplace(sampler, *flat);
@@ -213,10 +215,8 @@ std::vector<RoutedJourney> route_and_validate(
                 discoveries, result.outcomes, paths);
     }
   }
-  if (cache) {
-    result.unique_edges_probed = cache->unique_edges();
-    result.cache_misses = cache->unique_edges();
-  }
+  result.unique_edges_probed = cache->unique_edges();
+  result.cache_misses = cache->unique_edges();
 
   // Validate paths and resolve every hop's incident slot.
   const obs::PhaseProfiler::Scope validate_scope(profiler, "validate");
@@ -267,7 +267,7 @@ std::vector<RoutedJourney> route_and_validate(
   // distinct probe that was not a miss was a hit:
   // hits + misses == total_distinct_probes by definition, with no counter
   // on the lookup path (see TrafficResult::cache_hits).
-  if (cache) result.cache_hits = result.total_distinct_probes - result.cache_misses;
+  result.cache_hits = result.total_distinct_probes - result.cache_misses;
   return journeys;
 }
 

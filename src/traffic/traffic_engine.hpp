@@ -56,10 +56,6 @@ struct TrafficConfig {
   /// Worker threads for the routing phase (0 = hardware concurrency). The
   /// result is bit-identical for every thread count.
   unsigned threads = 0;
-  /// Route through a SharedProbeCache so concurrent messages amortise
-  /// environment discovery. Turning it off only disables the optimisation;
-  /// results are unchanged (the cache is semantically transparent).
-  bool use_shared_cache = true;
   /// Adjacency backend for routing, validation, and journey compilation:
   /// kFlat resolves every neighbor / edge-key / edge-id query through the
   /// topology's CSR snapshot (Topology::flat_adjacency()), kImplicit through
@@ -127,16 +123,14 @@ struct TrafficResult {
 
   // Probe economics (the SharedProbeCache amortisation).
   std::uint64_t total_distinct_probes = 0;  // summed per-message Definition-2 cost
-  /// Union over messages = batch discovery cost. Only tracked when
-  /// use_shared_cache is on (0 otherwise).
+  /// Union over messages = batch discovery cost.
   std::uint64_t unique_edges_probed = 0;
   /// SharedProbeCache hit/miss split of the batch's distinct probes. Exact
   /// and deterministic despite concurrent routing: ProbeContext memoises per
   /// message, so the cache sees each (message, edge) pair once. Misses are
   /// the edges the cache published (cache_misses == unique_edges_probed),
   /// and every other distinct probe was a hit, so cache_hits is defined as
-  /// total_distinct_probes - cache_misses. Both 0 when use_shared_cache is
-  /// off.
+  /// total_distinct_probes - cache_misses.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   /// total_distinct_probes / unique_edges_probed: how many times the batch

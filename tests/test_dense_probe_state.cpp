@@ -7,13 +7,13 @@
 // workers flush their discoveries into the key-addressed cache in batches. The
 // sampler is a deterministic function of the edge key, so neither the
 // cache nor the assignment of messages to workers may change anything a run
-// reports except the cache's own counters. These tests hold cached and
-// uncached runs, and 1-worker and 4-worker runs, equal on every aggregate
-// and per-message outcome across a topology × router × workload matrix
-// (local and oracle modes, budgets, parallel edges), and pin the cache's
-// counter identities: misses == unique_edges() == distinct edges probed,
-// and, on a TrafficResult, cache_hits + cache_misses ==
-// total_distinct_probes.
+// reports except the cache's own counters. These tests hold every message
+// equal to a fresh single-pair ProbeContext over the raw sampler, and
+// 1-worker and 4-worker runs on both legs equal on every aggregate and
+// per-message outcome, across a topology × router × workload matrix (local
+// and oracle modes, budgets, parallel edges), and pin the cache's counter
+// identities: misses == unique_edges() == distinct edges probed, and, on a
+// TrafficResult, cache_hits + cache_misses == total_distinct_probes.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 
 #include "graph/flat_adjacency.hpp"
 #include "graph/hypercube.hpp"
+#include "helpers/fresh_probe_reference.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "random/rng.hpp"
 #include "sim/registry.hpp"
@@ -36,7 +37,8 @@ namespace faultroute {
 namespace {
 
 // Everything a run reports except the shared cache's counters
-// (unique_edges_probed, cache_hits, cache_misses), which are 0 without it.
+// (unique_edges_probed, cache_hits, cache_misses), which the tests check
+// against their own identities.
 void expect_same_routing_and_delivery(const TrafficResult& a, const TrafficResult& b,
                                       const std::string& label) {
   EXPECT_EQ(a.messages, b.messages) << label;
@@ -81,8 +83,15 @@ struct ProbeStateCase {
   std::uint64_t budget = 0;  // 0 = unbounded
 };
 
-TrafficResult run_case(const ProbeStateCase& spec, bool shared_cache, unsigned threads,
-                       AdjacencyMode adjacency = AdjacencyMode::kAuto) {
+std::string label_of(const ProbeStateCase& spec) {
+  return spec.topology + "/" + spec.router + "/" + spec.workload +
+         " p=" + std::to_string(spec.p) + " budget=" + std::to_string(spec.budget);
+}
+
+// Runs the case and holds every message against a fresh single-pair
+// ProbeContext over the raw sampler, so the shared cache (and the pooled
+// probe state) is checked transparent on every run.
+TrafficResult run_case(const ProbeStateCase& spec, unsigned threads, AdjacencyMode adjacency) {
   const auto graph = sim::make_topology(spec.topology);
   const HashEdgeSampler env(spec.p, derive_seed(2005, 7));
   WorkloadConfig workload = sim::make_workload(spec.workload);
@@ -93,15 +102,14 @@ TrafficResult run_case(const ProbeStateCase& spec, bool shared_cache, unsigned t
 
   TrafficConfig config;
   config.threads = threads;
-  config.use_shared_cache = shared_cache;
   config.adjacency = adjacency;
   if (spec.budget > 0) config.probe_budget = spec.budget;
-  return run_traffic(*graph, env, factory, messages, config);
-}
-
-std::string label_of(const ProbeStateCase& spec) {
-  return spec.topology + "/" + spec.router + "/" + spec.workload +
-         " p=" + std::to_string(spec.p) + " budget=" + std::to_string(spec.budget);
+  TrafficResult result = run_traffic(*graph, env, factory, messages, config);
+  testing::expect_matches_fresh_probe_contexts(
+      *graph, env, factory, messages, config, result,
+      label_of(spec) + " " + std::string(adjacency_mode_name(adjacency)) + " threads " +
+          std::to_string(threads));
+  return result;
 }
 
 // Local-mode routers on structured families, oracle routers on G(n,p),
@@ -121,17 +129,6 @@ const std::vector<ProbeStateCase>& probe_state_cases() {
   return cases;
 }
 
-TEST(DenseProbeState, SharedCacheIsTransparentAcrossTopologiesRoutersAndModes) {
-  // With the cache on, arenas resolve first probes through the tri-state CAS
-  // cache; with it off, through the raw sampler's is_open_indexed default.
-  // The answers must not care.
-  for (const auto& spec : probe_state_cases()) {
-    expect_same_routing_and_delivery(run_case(spec, /*shared_cache=*/true, 1),
-                                     run_case(spec, /*shared_cache=*/false, 1),
-                                     label_of(spec) + " cached vs uncached");
-  }
-}
-
 TEST(DenseProbeState, ArenaReuseIsIndependentOfWorkerAssignment) {
   // Each worker reuses one arena for all its messages, isolated only by the
   // epoch bump: flat arrays on the flat leg, key slots on the implicit leg,
@@ -139,13 +136,12 @@ TEST(DenseProbeState, ArenaReuseIsIndependentOfWorkerAssignment) {
   // Which messages share an arena (and a flush) changes with the thread
   // count; the results must not, and the two legs must agree.
   for (const auto& spec : probe_state_cases()) {
-    const TrafficResult reference =
-        run_case(spec, /*shared_cache=*/true, 1, AdjacencyMode::kFlat);
+    const TrafficResult reference = run_case(spec, 1, AdjacencyMode::kFlat);
     for (const AdjacencyMode adjacency : {AdjacencyMode::kFlat, AdjacencyMode::kImplicit}) {
       const std::string label =
           label_of(spec) + " " + std::string(adjacency_mode_name(adjacency));
-      const TrafficResult one = run_case(spec, /*shared_cache=*/true, 1, adjacency);
-      const TrafficResult four = run_case(spec, /*shared_cache=*/true, 4, adjacency);
+      const TrafficResult one = run_case(spec, 1, adjacency);
+      const TrafficResult four = run_case(spec, 4, adjacency);
       expect_same_routing_and_delivery(reference, one, label + " threads 1");
       expect_same_routing_and_delivery(reference, four, label + " threads 4");
       // The TrafficResult identities: misses are the published edges, hits

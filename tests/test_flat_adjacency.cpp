@@ -29,7 +29,6 @@
 #include "percolation/chemical_distance.hpp"
 #include "percolation/cluster_analysis.hpp"
 #include "percolation/edge_sampler.hpp"
-#include "percolation/override_sampler.hpp"
 #include "percolation/threshold.hpp"
 #include "random/rng.hpp"
 #include "random/splitmix64.hpp"
@@ -460,87 +459,6 @@ TEST(FlatAdjacencyPercolation, LargestClusterOrderMatchesAcrossBackends) {
   for (const double p : {0.2, 0.5, 0.8}) {
     EXPECT_EQ(flat_order(p, 9), implicit_order(p, 9)) << p;
   }
-}
-
-// --------------------------------------------------------------- samplers
-
-TEST(IndexedMemoSamplers, ExplicitSamplerIndexedMatchesKeyedAndSurvivesMutation) {
-  const auto graph = sim::make_topology("butterfly:2");  // parallel edges
-  const FlatAdjacency& flat = graph->flat_adjacency();
-  ExplicitEdgeSampler sampler(/*default_open=*/false);
-  sampler.index_edges(*graph);
-  Rng rng(3);
-  for (VertexId v = 0; v < graph->num_vertices(); ++v) {
-    for (int i = 0; i < graph->degree(v); ++i) {
-      if (uniform_below(rng, 2) == 0) sampler.set(flat.edge_key(v, i), true);
-    }
-  }
-  const auto check_all = [&]() {
-    for (VertexId v = 0; v < graph->num_vertices(); ++v) {
-      for (int i = 0; i < graph->degree(v); ++i) {
-        const EdgeKey key = flat.edge_key(v, i);
-        const std::uint32_t id = flat.edge_id(v, i);
-        // Twice: miss path, then memo-hit path.
-        ASSERT_EQ(sampler.is_open_indexed(id, key), sampler.is_open(key));
-        ASSERT_EQ(sampler.is_open_indexed(id, key), sampler.is_open(key));
-      }
-    }
-  };
-  check_all();
-  // Mutation after queries must invalidate the memo, not serve stale bytes.
-  sampler.set(flat.edge_key(0, 0), false);
-  EXPECT_FALSE(sampler.is_open_indexed(flat.edge_id(0, 0), flat.edge_key(0, 0)));
-  sampler.set(flat.edge_key(0, 0), true);
-  EXPECT_TRUE(sampler.is_open_indexed(flat.edge_id(0, 0), flat.edge_key(0, 0)));
-  check_all();
-  // Out-of-space ids fall back to the keyed path.
-  EXPECT_EQ(sampler.is_open_indexed(flat.num_edge_ids() + 7, flat.edge_key(0, 0)),
-            sampler.is_open(flat.edge_key(0, 0)));
-}
-
-TEST(IndexedMemoSamplers, OverrideSamplerIndexedMatchesKeyedAndSurvivesMutation) {
-  const auto graph = sim::make_topology("hypercube:5");
-  const FlatAdjacency& flat = graph->flat_adjacency();
-  const HashEdgeSampler base(0.7, 55);
-  OverrideSampler sampler(base);
-  sampler.index_edges(*graph);
-  const auto check_all = [&]() {
-    for (VertexId v = 0; v < graph->num_vertices(); ++v) {
-      for (int i = 0; i < graph->degree(v); ++i) {
-        const EdgeKey key = flat.edge_key(v, i);
-        const std::uint32_t id = flat.edge_id(v, i);
-        ASSERT_EQ(sampler.is_open_indexed(id, key), sampler.is_open(key));
-        ASSERT_EQ(sampler.is_open_indexed(id, key), sampler.is_open(key));
-      }
-    }
-  };
-  check_all();
-  sampler.close_all(incident_cut(*graph, 0));  // adversary arrives mid-run
-  EXPECT_FALSE(sampler.is_open_indexed(flat.edge_id(0, 0), flat.edge_key(0, 0)));
-  check_all();
-  sampler.force(flat.edge_key(0, 0), true);
-  EXPECT_TRUE(sampler.is_open_indexed(flat.edge_id(0, 0), flat.edge_key(0, 0)));
-  check_all();
-}
-
-TEST(IndexedMemoSamplers, OverrideSamplerNeverServesStaleBaseAnswers) {
-  // The override memo must only cache the sampler's *own* override state:
-  // un-forced edges delegate to the base live, so a mutable base changing
-  // after indexed queries can never make is_open_indexed contradict
-  // is_open.
-  const auto graph = sim::make_topology("hypercube:4");
-  const FlatAdjacency& flat = graph->flat_adjacency();
-  ExplicitEdgeSampler base(/*default_open=*/true);
-  OverrideSampler sampler(base);
-  sampler.index_edges(*graph);
-  const EdgeKey key = flat.edge_key(0, 0);
-  const std::uint32_t id = flat.edge_id(0, 0);
-  EXPECT_TRUE(sampler.is_open_indexed(id, key));  // memoizes "no override"
-  base.set(key, false);                           // base mutates underneath
-  EXPECT_FALSE(sampler.is_open(key));
-  EXPECT_FALSE(sampler.is_open_indexed(id, key));  // must follow the base
-  base.set(key, true);
-  EXPECT_TRUE(sampler.is_open_indexed(id, key));
 }
 
 // -------------------------------------------------------------- edge load

@@ -6,17 +6,19 @@
 // DistanceOracle columns instead of one BFS per graph.distance call. All of
 // it is advertised as a pure acceleration, so this suite is the pin: it
 // flips TrafficConfig::frontier across a topology × router × workload
-// matrix — both adjacency modes, the shared cache on and off, budgets tight
-// enough to censor mid-search, threads 1, 2 and 4 — and holds the two runs
-// equal on every aggregate, every exact double, and every per-message
-// outcome. It also checks the axes compose: batch/flat against
-// permsg/implicit end-to-end.
+// matrix — both adjacency modes, budgets tight enough to censor mid-search,
+// threads 1, 2 and 4 — and holds the two runs equal on every aggregate,
+// every exact double, and every per-message outcome, and each message equal
+// to a fresh single-pair ProbeContext over the raw sampler (so the shared
+// cache is checked transparent too). It also checks the axes compose:
+// batch/flat against permsg/implicit end-to-end.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "helpers/fresh_probe_reference.hpp"
 #include "random/rng.hpp"
 #include "sim/registry.hpp"
 #include "traffic/traffic_engine.hpp"
@@ -72,8 +74,11 @@ struct EquivalenceCase {
   std::uint64_t budget = 0;  // 0 = unbounded
 };
 
+// Also holds the batch run against the fresh single-pair reference, which
+// probes the raw sampler: the shared cache stays transparent under both
+// schedulers.
 void check_batch_equals_permsg(const EquivalenceCase& spec, const std::string& adjacency,
-                               unsigned threads, bool shared_cache = true) {
+                               unsigned threads) {
   const auto graph = sim::make_topology(spec.topology);
   const HashEdgeSampler env(spec.p, derive_seed(2005, 7));
   WorkloadConfig workload = sim::make_workload(spec.workload);
@@ -84,7 +89,6 @@ void check_batch_equals_permsg(const EquivalenceCase& spec, const std::string& a
 
   TrafficConfig config;
   config.threads = threads;
-  config.use_shared_cache = shared_cache;
   config.adjacency = parse_adjacency_mode(adjacency);
   if (spec.budget > 0) config.probe_budget = spec.budget;
 
@@ -93,13 +97,14 @@ void check_batch_equals_permsg(const EquivalenceCase& spec, const std::string& a
   TrafficConfig permsg = config;
   permsg.frontier = FrontierMode::kPerMessage;
 
-  expect_identical(run_traffic(*graph, env, factory, messages, batch),
-                   run_traffic(*graph, env, factory, messages, permsg),
-                   spec.topology + "/" + spec.router + "/" + spec.workload +
-                       " p=" + std::to_string(spec.p) +
-                       " budget=" + std::to_string(spec.budget) +
-                       (shared_cache ? " cached" : " uncached") + " adjacency=" +
-                       adjacency + " threads=" + std::to_string(threads));
+  const std::string label = spec.topology + "/" + spec.router + "/" + spec.workload +
+                            " p=" + std::to_string(spec.p) +
+                            " budget=" + std::to_string(spec.budget) +
+                            " adjacency=" + adjacency + " threads=" + std::to_string(threads);
+  const TrafficResult batched = run_traffic(*graph, env, factory, messages, batch);
+  expect_identical(batched, run_traffic(*graph, env, factory, messages, permsg), label);
+  testing::expect_matches_fresh_probe_contexts(*graph, env, factory, messages, config, batched,
+                                               label);
 }
 
 // The batch executor's own families (flood and bidirectional get the block
@@ -158,18 +163,6 @@ TEST(FrontierSearch, PassThroughRoutersAreUnaffected) {
   for (const auto& spec : kPassThroughCases) {
     check_batch_equals_permsg(spec, "flat", /*threads=*/1);
   }
-}
-
-TEST(FrontierSearch, MatchesWithoutTheSharedCache) {
-  // With the cache off the executor's is_open_indexed calls reach the raw
-  // sampler's default implementation, exactly as ProbeContext's do; both
-  // must agree with their per-message twins.
-  check_batch_equals_permsg({"de_bruijn:8", "flood", "random-pairs", 0.55}, "flat",
-                            /*threads=*/1, /*shared_cache=*/false);
-  check_batch_equals_permsg({"hypercube:8", "bidirectional", "permutation", 0.5, 500}, "flat",
-                            /*threads=*/1, /*shared_cache=*/false);
-  check_batch_equals_permsg({"de_bruijn:8", "greedy", "random-pairs", 0.55}, "flat",
-                            /*threads=*/1, /*shared_cache=*/false);
 }
 
 TEST(FrontierSearch, MatchesAcrossAdjacencyModes) {

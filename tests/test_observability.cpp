@@ -14,6 +14,7 @@
 
 #include "core/routers/greedy_router.hpp"
 #include "graph/hypercube.hpp"
+#include "helpers/fresh_probe_reference.hpp"
 #include "obs/build_info.hpp"
 #include "obs/counter_registry.hpp"
 #include "obs/delivery_sampler.hpp"
@@ -263,14 +264,18 @@ TEST(TrafficCacheCounters, HitMissSplitObeysExactIdentities) {
   EXPECT_GT(result.cache_hits, 0u);  // a permutation batch always shares edges
 }
 
-TEST(TrafficCacheCounters, ZeroWhenSharedCacheIsOff) {
+TEST(TrafficCacheCounters, SplitExactlyTheFreshSinglePairProbes) {
+  // The hits and misses partition total_distinct_probes, and each message's
+  // share of it is what the message costs routed alone over the raw
+  // sampler: the cache answers probes, it never adds or hides one.
   const TrafficFixture fx;
   TrafficConfig config;
-  config.use_shared_cache = false;
+  config.threads = 3;
   const auto result =
       run_traffic(fx.graph, fx.sampler, best_first_factory(), fx.messages, config);
-  EXPECT_EQ(result.cache_hits, 0u);
-  EXPECT_EQ(result.cache_misses, 0u);
+  testing::expect_matches_fresh_probe_contexts(fx.graph, fx.sampler, best_first_factory(),
+                                               fx.messages, config, result,
+                                               "hypercube:8 best-first");
 }
 
 TEST(TrafficCacheCounters, AppearInTheReportTable) {

@@ -14,6 +14,7 @@
 #include "core/routers/greedy_router.hpp"
 #include "graph/hypercube.hpp"
 #include "graph/mesh.hpp"
+#include "helpers/fresh_probe_reference.hpp"
 #include "obs/counter_registry.hpp"
 #include "percolation/edge_sampler.hpp"
 #include "sim/registry.hpp"
@@ -248,17 +249,22 @@ TEST(TrafficEngine, HugeHypercubePaysPerProbeNotPerVertex) {
   EXPECT_EQ(r.cache_hits + r.cache_misses, r.total_distinct_probes);
 }
 
-TrafficResult run_hypercube_batch(unsigned threads, bool shared_cache = true) {
-  const Hypercube g(8);
-  const HashEdgeSampler env(0.6, 11);
+const Hypercube kBatchGraph(8);
+const HashEdgeSampler kBatchEnv(0.6, 11);
+
+std::vector<TrafficMessage> hypercube_batch_messages() {
   WorkloadConfig workload;
   workload.kind = WorkloadKind::kRandomPairs;
   workload.messages = 400;
   workload.seed = 5;
+  return generate_workload(kBatchGraph, workload);
+}
+
+TrafficResult run_hypercube_batch(unsigned threads) {
   TrafficConfig config;
   config.threads = threads;
-  config.use_shared_cache = shared_cache;
-  return run_traffic(g, env, best_first_factory(), generate_workload(g, workload), config);
+  return run_traffic(kBatchGraph, kBatchEnv, best_first_factory(), hypercube_batch_messages(),
+                     config);
 }
 
 TEST(TrafficEngine, MessageConservation) {
@@ -306,18 +312,18 @@ TEST(TrafficEngine, DeterministicAcrossThreadCounts) {
 }
 
 TEST(TrafficEngine, SharedCacheAmortisesDiscoveryWithoutChangingResults) {
-  const TrafficResult with = run_hypercube_batch(4, true);
-  const TrafficResult without = run_hypercube_batch(4, false);
-  // The cache is semantically transparent...
-  EXPECT_EQ(with.delivered, without.delivered);
-  EXPECT_EQ(with.total_distinct_probes, without.total_distinct_probes);
-  EXPECT_EQ(with.makespan, without.makespan);
+  const TrafficResult with = run_hypercube_batch(4);
+  // The cache is semantically transparent: each message costs what it costs
+  // routed alone over the raw sampler...
+  testing::expect_matches_fresh_probe_contexts(kBatchGraph, kBatchEnv, best_first_factory(),
+                                               hypercube_batch_messages(), TrafficConfig{},
+                                               with, "hypercube:8 best-first");
   // ...and the batch re-uses discovered edges many times over.
   EXPECT_GT(with.unique_edges_probed, 0u);
   EXPECT_LT(with.unique_edges_probed, with.total_distinct_probes);
   EXPECT_GT(with.probe_amortization(), 1.0);
   // A batch can never discover more edges than the graph has.
-  EXPECT_LE(with.unique_edges_probed, Hypercube(8).num_edges());
+  EXPECT_LE(with.unique_edges_probed, kBatchGraph.num_edges());
 }
 
 TEST(TrafficEngine, HotspotSaturatesTheTargetEdgeOnALine) {

@@ -780,18 +780,28 @@ class InternalParser:
                                 f"range-for over unordered container '{base}'"))
 
             if re.match(r"[A-Za-z_]\w*$", t) and i + 1 <= body_end and \
-                    toks[i + 1][0] == "(" and t not in CXX_KEYWORDS:
-                self._handle_call(fn, i, body_end, note_call, open_locks)
+                    t not in CXX_KEYWORDS:
+                if toks[i + 1][0] == "(":
+                    self._handle_call(fn, i, i + 1, body_end, note_call, open_locks)
+                elif toks[i + 1][0] == "<":
+                    # ident<...>(: a call with explicit template arguments
+                    # (f<X>(v), std::make_unique<T>(...)) is a call to ident.
+                    close = _match_forward(toks, i + 1, "<", ">")
+                    if 0 < close < body_end and toks[close + 1][0] == "(" and not any(
+                            toks[m][0] in (";", "{", "}", "&&", "||")
+                            for m in range(i + 2, close)):
+                        self._handle_call(fn, i, close + 1, body_end, note_call,
+                                          open_locks)
             i += 1
 
         # lock scopes: attach calls-under via a second pass below (handled in
         # _handle_call through open_locks), nothing further here.
 
-    def _handle_call(self, fn: FunctionDef, i: int, body_end: int,
+    def _handle_call(self, fn: FunctionDef, i: int, open_paren: int, body_end: int,
                      note_call, open_locks) -> None:
+        """toks[i] names the callee; toks[open_paren] opens its arguments."""
         toks = self.toks
         t, line = toks[i]
-        open_paren = i + 1
         args, has_order = _args_in(toks, open_paren)
 
         # Qualified chain backwards.
@@ -1607,18 +1617,28 @@ int rand();
 """
 
 
-def _st_tree(root: Path, *, hot_bug=False, det_bug=False, lock_bug=False,
-             throw_bug=False, bad_annotation=False, allowed=False,
+def _st_tree(root: Path, *, hot_bug=False, template_bug=False, det_bug=False,
+             lock_bug=False, throw_bug=False, bad_annotation=False, allowed=False,
              unordered_bug=False):
     """Writes a fixture tree; flags seed specific violations."""
-    hot_body = (
-        "  helper_scratch(out);\n" if hot_bug else "  helper_clean(out);\n")
+    hot_body = "  helper_clean(out);\n"
+    if hot_bug:
+        hot_body = "  helper_scratch(out);\n"
+    elif template_bug:  # explicit template arguments on the call
+        hot_body = "  helper_templated<true>(out);\n"
     _st_write(root, "src/hot.cpp", FIXTURE_PRELUDE + f"""
 void helper_clean(std::vector<int>& out);
 
 void helper_scratch(std::vector<int>& out) {{
   out.push_back(1);
   int* leak = new int[8];
+  (void)leak;
+}}
+
+template <bool kGrow>
+void helper_templated(std::vector<int>& out) {{
+  if (kGrow) out.push_back(2);
+  int* leak = new int[4];
   (void)leak;
 }}
 
@@ -1771,6 +1791,8 @@ def self_test(jobs: int) -> int:
         run_case(fe, "clean tree", {})
         # Each rule fires with >= 2 seeded violations.
         run_case(fe, "hot-alloc seeded", {"hot-alloc": 2}, hot_bug=True)
+        run_case(fe, "hot-alloc through helper<true>(v)", {"hot-alloc": 1},
+                 template_bug=True)
         run_case(fe, "determinism seeded", {"determinism": 2},
                  det_bug=True, unordered_bug=True)
         run_case(fe, "lock-discipline seeded", {"lock-discipline": 2},

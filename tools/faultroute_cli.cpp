@@ -94,7 +94,7 @@ const std::map<std::string, std::set<std::string>>& subcommand_flags() {
         "metrics", "trace"}},
       {"traffic",
        {"topology", "p", "router", "seed", "workload", "messages", "workload-seed", "target",
-        "rate", "capacity", "threads", "budget", "shared-cache", "adjacency", "frontier",
+        "rate", "capacity", "threads", "budget", "adjacency", "frontier",
         "snapshot-dir", "metrics", "trace", "trace-samples"}},
       {"scenario",
        {"spec", "seed", "snapshot-dir", "threads", "quick", "format", "out", "checkpoint",
@@ -504,12 +504,6 @@ int cmd_traffic(const Args& args) {
   config.edge_capacity = args.get_u64("capacity", 1);
   config.threads = args.threads(0);
   if (args.get_u64("budget", 0) > 0) config.probe_budget = args.get_u64("budget", 0);
-  const std::string cache_flag = args.get("shared-cache", "true");
-  if (cache_flag != "true" && cache_flag != "false") {
-    throw std::invalid_argument("--shared-cache must be 'true' or 'false', got '" +
-                                cache_flag + "'");
-  }
-  config.use_shared_cache = cache_flag == "true";
 
   // --adjacency flat|implicit|auto: CSR-snapshot vs virtual adjacency for
   // the routing phase.
@@ -727,8 +721,7 @@ void print_usage() {
             << "trials flags:      --trials N --budget B --threads T --from U --to V\n"
             << "permutation flags: --pairs N --pair-seed S --budget B\n"
             << "traffic flags:     --workload W --messages N --workload-seed S\n"
-            << "                   --capacity C --threads T --budget B --target V\n"
-            << "                   --rate R --shared-cache true|false\n"
+            << "                   --capacity C --threads T --budget B --target V --rate R\n"
             << "                   --adjacency flat|implicit|auto (CSR snapshot vs\n"
             << "                     virtual adjacency; also on components/threshold/\n"
             << "                     permutation)\n"

@@ -98,7 +98,6 @@ HOT_PATH_DIRS = (
 # tests/test_concurrency_stress.cpp; argued in docs/ARCHITECTURE.md):
 #   shared_probe_cache: tri-state CAS publication of pure-function values
 #   counter_registry / phase_profiler: thread-owned slots, read at joins
-#   indexed_memo: epoch-stamped memo of pure-function values
 #   parallel: work-stealing ticket counter; RMWs on one atomic are totally
 #     ordered and thread join publishes the bodies' writes
 #   test_concurrency_stress: the stress suite exercising all of the above
@@ -109,7 +108,6 @@ RELAXED_ALLOWLIST = {
     Path("src") / "obs" / "counter_registry.cpp",
     Path("src") / "obs" / "counter_registry.hpp",
     Path("src") / "obs" / "phase_profiler.cpp",
-    Path("src") / "percolation" / "indexed_memo.hpp",
     Path("tests") / "test_concurrency_stress.cpp",
 }
 
